@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-dist race-core race-ctlplane race-corpus race-codesign race-fork fuzz-smoke bench bench-sweep bench-dist bench-trace bench-core bench-pref bench-service advgen-smoke
+.PHONY: build vet test race fuzz-smoke bench bench-sweep bench-dist bench-trace bench-core bench-pref bench-service advgen-smoke
 
 build:
 	$(GO) build ./...
@@ -14,44 +14,11 @@ vet:
 test: build vet
 	$(GO) test ./...
 
+# One race pass over every package, twice in shuffled order so state
+# leaked across tests or test-internal resets cannot hide a race (what
+# CI runs).
 race:
-	$(GO) test -race ./...
-
-# Focused race pass over the concurrency-heavy layers (what CI runs).
-race-dist:
-	$(GO) test -race ./internal/dist/... ./internal/service/... ./internal/sweep/... ./internal/corpus/...
-
-# Repeated race pass over the simulation hot path (queue/index/table
-# rewrites); -count=2 catches state leaked across test-internal resets.
-# ./internal/prefetch/... includes the hybrid arbitration subpackage.
-race-core:
-	$(GO) test -race -count=2 ./internal/core/... ./internal/prefetch/... ./internal/cmp/...
-
-# Control-plane race pass: lease ownership handoff, SSE fan-out,
-# admission buckets and the client retry loop are all cross-goroutine
-# protocols — run them twice under the race detector (what CI runs).
-race-ctlplane:
-	$(GO) test -race -count=2 ./internal/ctlplane/... ./internal/service/... ./internal/dist/...
-
-# Corpus race pass: GC racing ingest, chunk federation, and the trace
-# record codecs — twice, so cross-test CAS state can't hide a race
-# (what CI runs).
-race-corpus:
-	$(GO) test -race -count=2 ./internal/corpus/... ./internal/trace/...
-
-# Co-design race pass: prefetch insertion depth, TLB fill and
-# wrong-path modelling share packed per-set cache state, and the
-# foundry memoises searches in a sync.Map — twice, plus -race (what CI
-# runs).
-race-codesign:
-	$(GO) test -race -count=2 ./internal/cache/... ./internal/tlb/... ./internal/core/... ./internal/workload/... ./internal/codesign/... ./internal/foundry/...
-
-# Fork-and-diverge race pass: RunBatchContext shares one warm snapshot
-# across concurrent measurement goroutines and the waiter-retry dedup
-# path hands results across goroutines — run every snapshot round-trip
-# and fork differential twice under the race detector (what CI runs).
-race-fork:
-	$(GO) test -race -count=2 -run 'Fork|Snapshot|Warm|Batch|Waiter|LineSize' ./internal/sim/... ./internal/sweep/... ./internal/cmp/... ./internal/prefetch/... ./internal/cache/... ./internal/tlb/... ./internal/bpred/... ./internal/memory/... ./internal/core/... ./internal/workload/...
+	$(GO) test -race -count=2 -shuffle=on -timeout 90m ./...
 
 # Bounded adversarial-generator smoke: the hill-climb must beat the
 # worst paper workload's L1-I miss rate (what CI runs).

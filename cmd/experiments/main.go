@@ -268,14 +268,7 @@ func runSweep(ctx context.Context, path string) error {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return err
 		}
-		files := map[string][]byte{"results.csv": art.CSV()}
-		if data, err := art.JSON(); err == nil {
-			files["results.json"] = data
-		}
-		if p := art.ParetoCSV(); p != nil {
-			files["pareto.csv"] = p
-		}
-		for name, data := range files {
+		for name, data := range art.Files() {
 			if err := os.WriteFile(filepath.Join(*outDir, name), data, 0o644); err != nil {
 				return err
 			}

@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -157,6 +158,11 @@ type Store struct {
 	// pending holds chunk hashes referenced by in-flight ingests that
 	// have not yet landed a manifest; GC treats them as roots.
 	pending map[string]int
+	// referenced is non-nil while a GC pass runs: it collects every
+	// hash ingests reference after the pass snapshotted pending, and the
+	// sweep spares those chunks.
+	referenced map[string]struct{}
+	gcMu       sync.Mutex // serialises GC passes (they share referenced)
 }
 
 // Open creates (if needed) and returns the store at dir.
@@ -241,6 +247,9 @@ func (s *Store) List() ([]Manifest, error) {
 			continue
 		}
 		m, err := s.Get(id)
+		if errors.Is(err, os.ErrNotExist) {
+			continue // deleted since the glob
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -492,10 +501,15 @@ func (ing *ingester) finish(source string) (Manifest, error) {
 	return man, nil
 }
 
+// addPending makes hashes GC roots until removePending. Callers add
+// them before checking whether a chunk is already on disk.
 func (s *Store) addPending(hashes []string) {
 	s.mu.Lock()
 	for _, h := range hashes {
 		s.pending[h]++
+		if s.referenced != nil {
+			s.referenced[h] = struct{}{}
+		}
 	}
 	s.mu.Unlock()
 }

@@ -80,12 +80,20 @@ func (f *Fetcher) fetchFrom(ctx context.Context, peer, id string) error {
 	if man.ID != id {
 		return fmt.Errorf("peer returned manifest for %s", man.ID)
 	}
-	s := f.Store
-	fetched, reused := 0, 0
-	for _, ref := range man.Recipe {
+	hashes := make([]string, len(man.Recipe))
+	for i, ref := range man.Recipe {
 		if !validID(ref.Hash) {
 			return fmt.Errorf("manifest recipe has invalid chunk hash %q", ref.Hash)
 		}
+		hashes[i] = ref.Hash
+	}
+	// As for an ingest, the recipe's chunks are GC roots until the
+	// manifest lands.
+	s := f.Store
+	s.addPending(hashes)
+	defer s.removePending(hashes)
+	fetched, reused := 0, 0
+	for _, ref := range man.Recipe {
 		if s.hasChunk(ref.Hash) {
 			reused++
 			continue

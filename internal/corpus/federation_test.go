@@ -186,3 +186,53 @@ func TestFetchNoPeers(t *testing.T) {
 		t.Fatal("invalid id accepted")
 	}
 }
+
+// TestGCConcurrentWithFetch: chunks a fetch has pulled (or found
+// already local) but not yet covered by an adopted manifest are GC
+// roots, so a collector running with no grace window alongside the
+// fetch neither fails it nor leaves the entry with missing chunks.
+func TestGCConcurrentWithFetch(t *testing.T) {
+	src := newStore(t)
+	var ids []string
+	for i := 0; i < 4; i++ {
+		ids = append(ids, captureWeb(t, src, uint64(30+i), 2500).ID)
+	}
+	srv := peerServer(t, src)
+
+	dst := newStore(t)
+	stop := make(chan struct{})
+	gcDone := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				gcDone <- nil
+				return
+			default:
+			}
+			if _, err := dst.GC(GCOptions{Grace: -1}); err != nil {
+				gcDone <- err
+				return
+			}
+		}
+	}()
+	f := &Fetcher{Store: dst, Peers: []string{srv.URL}}
+	var fetchErr error
+	for _, id := range ids {
+		if fetchErr = f.Fetch(context.Background(), id); fetchErr != nil {
+			break
+		}
+	}
+	close(stop)
+	if err := <-gcDone; err != nil {
+		t.Fatal(err)
+	}
+	if fetchErr != nil {
+		t.Fatalf("fetch raced GC: %v", fetchErr)
+	}
+	for _, id := range ids {
+		if err := dst.Verify(id); err != nil {
+			t.Fatalf("GC raced a fetch into corruption: %v", err)
+		}
+	}
+}

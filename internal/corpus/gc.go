@@ -60,6 +60,8 @@ func (s *Store) GC(opts GCOptions) (GCStats, error) {
 	if grace == 0 {
 		grace = DefaultGCGrace
 	}
+	s.gcMu.Lock()
+	defer s.gcMu.Unlock()
 
 	// Sweep candidates are listed before marking: a chunk written
 	// after this point is either younger than the grace window or
@@ -75,6 +77,22 @@ func (s *Store) GC(opts GCOptions) (GCStats, error) {
 			live[ref.Hash] = struct{}{}
 		}
 	}
+	// Pending is snapshotted before List: an ingest clears its pending
+	// entries only after its manifest lands, so every ingest that began
+	// before this point is in the snapshot or in List. One that
+	// references chunks after it is recorded in s.referenced, which the
+	// sweep consults.
+	s.mu.Lock()
+	for h := range s.pending {
+		live[h] = struct{}{}
+	}
+	s.referenced = make(map[string]struct{})
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.referenced = nil
+		s.mu.Unlock()
+	}()
 	mans, err := s.List()
 	if err != nil {
 		return GCStats{}, fmt.Errorf("corpus: gc: %w", err)
@@ -93,11 +111,6 @@ func (s *Store) GC(opts GCOptions) (GCStats, error) {
 			mark(m)
 		}
 	}
-	s.mu.Lock()
-	for h := range s.pending {
-		live[h] = struct{}{}
-	}
-	s.mu.Unlock()
 
 	cutoff := time.Now().Add(-grace)
 
@@ -157,19 +170,39 @@ func (s *Store) GC(opts GCOptions) (GCStats, error) {
 			st.Skipped++
 			continue
 		}
-		st.Deleted++
-		st.Reclaimed += info.Size()
-		if opts.DryRun {
-			continue
-		}
-		s.mu.Lock()
-		delete(s.chunks, name)
-		s.mu.Unlock()
-		if err := os.Remove(s.chunkPath(name)); err != nil && !os.IsNotExist(err) {
+		swept, err := s.sweepChunk(name, opts.DryRun)
+		if err != nil {
 			return st, fmt.Errorf("corpus: gc: %w", err)
 		}
+		if !swept {
+			st.Live++
+			continue
+		}
+		st.Deleted++
+		st.Reclaimed += info.Size()
 	}
 	return st, nil
+}
+
+// sweepChunk deletes an unmarked chunk (dry-run: only reports it)
+// unless an ingest has referenced it since marking: that ingest's
+// dedup check may have found the file on disk, and it will not write
+// it again. Checking and removing under s.mu makes the two atomic
+// against addPending, which an ingest calls before that check.
+func (s *Store) sweepChunk(hash string, dryRun bool) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.referenced[hash]; ok {
+		return false, nil
+	}
+	if dryRun {
+		return true, nil
+	}
+	delete(s.chunks, hash)
+	if err := os.Remove(s.chunkPath(hash)); err != nil && !os.IsNotExist(err) {
+		return false, err
+	}
+	return true, nil
 }
 
 // Stats summarises the whole store: how many chunk references the

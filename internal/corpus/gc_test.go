@@ -199,3 +199,74 @@ func TestGCConcurrentWithIngest(t *testing.T) {
 		}
 	}
 }
+
+// TestGCSparesChunksReferencedAfterMarking covers the dedup hit that
+// lands between a pass's marking and its sweep: an ingest that finds
+// an unreferenced chunk already on disk does not rewrite it, so the
+// sweep must not delete it under the new manifest. The test stands in
+// for the pass at the point where marking is done, then ingests.
+func TestGCSparesChunksReferencedAfterMarking(t *testing.T) {
+	s := newStore(t)
+	m := captureWeb(t, s, 5, 1500)
+	if err := os.Remove(s.manifestPath(m.ID)); err != nil { // orphan its chunks
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.referenced = make(map[string]struct{})
+	s.mu.Unlock()
+	again := captureWeb(t, s, 5, 1500) // every chunk is a dedup hit
+	if again.Dedup.NewChunks != 0 {
+		t.Fatalf("re-ingest wrote %d chunks, want all dedup hits", again.Dedup.NewChunks)
+	}
+	for _, ref := range again.Recipe {
+		swept, err := s.sweepChunk(ref.Hash, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if swept {
+			t.Fatalf("sweep deleted chunk %s that the new manifest references", ref.Hash[:12])
+		}
+	}
+	if err := s.Verify(again.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGCConcurrentWithDelete races collection against an entry being
+// ingested, verified and deleted over and over: a manifest deleted
+// between List's glob and its read must not fail the pass, and each
+// re-ingest (all dedup hits on chunks the last pass may be sweeping)
+// must verify.
+func TestGCConcurrentWithDelete(t *testing.T) {
+	s := newStore(t)
+	stop := make(chan struct{})
+	gcDone := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				gcDone <- nil
+				return
+			default:
+			}
+			if _, err := s.GC(GCOptions{Grace: -1}); err != nil {
+				gcDone <- err
+				return
+			}
+		}
+	}()
+	var err error
+	for i := 0; i < 30 && err == nil; i++ {
+		m := captureWeb(t, s, 7, 1500)
+		if err = s.Verify(m.ID); err == nil {
+			err = s.Delete(m.ID)
+		}
+	}
+	close(stop)
+	if gcErr := <-gcDone; gcErr != nil {
+		t.Fatal(gcErr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}

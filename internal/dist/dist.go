@@ -664,15 +664,7 @@ func (c *Coordinator) maybeFinishLocked(ds *distSweep) {
 		Recovered: ds.recovered,
 		Simulated: ds.completed - ds.recovered,
 	}
-	a := out.Artifact()
-	ds.artifacts = make(map[string][]byte)
-	if data, err := a.JSON(); err == nil {
-		ds.artifacts["results.json"] = data
-	}
-	ds.artifacts["results.csv"] = a.CSV()
-	if p := a.ParetoCSV(); p != nil {
-		ds.artifacts["pareto.csv"] = p
-	}
+	ds.artifacts = out.Artifact().Files()
 	ds.sstate = SweepCompleted
 	ds.finishedAt = time.Now()
 	close(ds.done)
@@ -765,14 +757,6 @@ func (c *Coordinator) Wait(ctx context.Context, id string) (SweepView, error) {
 	return c.viewLocked(ds), nil
 }
 
-// artifactContentTypes maps artifact names to media types (mirrors the
-// local sweep path).
-var artifactContentTypes = map[string]string{
-	"results.json": "application/json",
-	"results.csv":  "text/csv; charset=utf-8",
-	"pareto.csv":   "text/csv; charset=utf-8",
-}
-
 // Artifact returns one rendered artifact of a completed sweep.
 func (c *Coordinator) Artifact(id, name string) (data []byte, contentType string, ok bool) {
 	c.mu.Lock()
@@ -785,9 +769,5 @@ func (c *Coordinator) Artifact(id, name string) (data []byte, contentType string
 	if !ok {
 		return nil, "", false
 	}
-	ct := artifactContentTypes[name]
-	if ct == "" {
-		ct = "application/octet-stream"
-	}
-	return data, ct, true
+	return data, sweep.ArtifactContentType(name), true
 }

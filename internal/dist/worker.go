@@ -210,47 +210,18 @@ func (w *Worker) runLease(ctx context.Context, workerID string, l *Lease, ttl ti
 	if conc <= 0 {
 		conc = 1
 	}
+	// Points sharing a warm phase fork from one snapshot; each result
+	// streams back as soon as its point completes.
 	eng := w.engineFor(l.WarmInstrs, l.MeasureInstrs, l.Seed)
-	var firstErr error
-	anyFork := false
-	for _, p := range l.Points {
-		if p.ForkWarm {
-			anyFork = true
-			break
+	firstErr := sweep.RunPoints(leaseCtx, eng, l.Points, conc, func(res sweep.PointResult) error {
+		if _, err := w.Client.SubmitPoint(leaseCtx, l.SweepID, workerID, res); err != nil {
+			return fmt.Errorf("dist: submit point %d: %w", res.Point.Index, err)
 		}
-	}
-	if anyFork {
-		// Fork-warm shards route through the engine's batching layer so
-		// points sharing a warm phase fork from one snapshot; results
-		// still stream back individually as each point completes.
-		firstErr = w.runBatch(leaseCtx, eng, workerID, l, conc)
-	} else {
-		sem := make(chan struct{}, conc)
-		var wg sync.WaitGroup
-		var errMu sync.Mutex
-		fail := func(err error) {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
+		if w.OnPoint != nil {
+			w.OnPoint(res)
 		}
-		for _, p := range l.Points {
-			if leaseCtx.Err() != nil {
-				break
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(p sweep.Point) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := w.runPoint(leaseCtx, eng, workerID, l, p); err != nil {
-					fail(err)
-				}
-			}(p)
-		}
-		wg.Wait()
-	}
+		return nil
+	})
 	cancel()
 	hbWG.Wait()
 
@@ -325,76 +296,6 @@ func (w *Worker) ensureTraces(ctx context.Context, l *Lease) error {
 			return fmt.Errorf("dist: trace %s: coordinator served bytes hashing to %s", id, man.ID)
 		}
 		w.logf("dist: cached trace %s (%d blocks, %d bytes)", id[:12], man.Blocks, man.SizeBytes)
-	}
-	return nil
-}
-
-// runBatch resolves a fork-warm shard through RunBatchContext and
-// streams each point back as it completes. Submission failures surface
-// as the batch's first error like any simulation failure.
-func (w *Worker) runBatch(ctx context.Context, eng *sim.Engine, workerID string, l *Lease, conc int) error {
-	specs := make([]sim.RunSpec, len(l.Points))
-	keys := make([]string, len(l.Points))
-	for i, p := range l.Points {
-		key, err := p.Key(l.WarmInstrs, l.MeasureInstrs, l.Seed)
-		if err != nil {
-			return err
-		}
-		rs, err := p.RunSpec()
-		if err != nil {
-			return err
-		}
-		keys[i], specs[i] = key, rs
-	}
-	var errMu sync.Mutex
-	var submitErr error
-	err := eng.RunBatchContext(ctx, specs, conc, func(i int, simRes sim.Result, err error, elapsed time.Duration) {
-		if err != nil {
-			return // RunBatchContext returns the first error itself
-		}
-		p := l.Points[i]
-		res := sweep.NewPointResult(p, keys[i], simRes, elapsed)
-		if _, err := w.Client.SubmitPoint(ctx, l.SweepID, workerID, res); err != nil {
-			errMu.Lock()
-			if submitErr == nil {
-				submitErr = fmt.Errorf("dist: submit point %d: %w", p.Index, err)
-			}
-			errMu.Unlock()
-			return
-		}
-		if w.OnPoint != nil {
-			w.OnPoint(res)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	errMu.Lock()
-	defer errMu.Unlock()
-	return submitErr
-}
-
-// runPoint simulates one grid point and delivers the result.
-func (w *Worker) runPoint(ctx context.Context, eng *sim.Engine, workerID string, l *Lease, p sweep.Point) error {
-	key, err := p.Key(l.WarmInstrs, l.MeasureInstrs, l.Seed)
-	if err != nil {
-		return err
-	}
-	rs, err := p.RunSpec()
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	simRes, err := eng.RunContext(ctx, rs)
-	if err != nil {
-		return err
-	}
-	res := sweep.NewPointResult(p, key, simRes, time.Since(start))
-	if _, err := w.Client.SubmitPoint(ctx, l.SweepID, workerID, res); err != nil {
-		return fmt.Errorf("dist: submit point %d: %w", p.Index, err)
-	}
-	if w.OnPoint != nil {
-		w.OnPoint(res)
 	}
 	return nil
 }

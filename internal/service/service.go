@@ -492,6 +492,27 @@ func (s *Service) runJob(j *job) {
 		outcome = "failed"
 	}
 
+	// Metrics and the persisted result land before the terminal state
+	// is visible, so a client released by done sees both.
+	s.metrics.JobFinished(outcome, finished.Sub(j.startedAt))
+	if outcome == "completed" {
+		for _, c := range res.Total.Components {
+			s.metrics.PrefetchComponent(c.Name, c.Issued, c.Useful)
+		}
+		if s.store != nil {
+			entry := StoredResult{
+				Key:       j.key,
+				Spec:      j.spec,
+				Result:    res,
+				CreatedAt: finished,
+				ElapsedMS: finished.Sub(j.startedAt).Milliseconds(),
+			}
+			if err := s.store.Put(entry); err != nil {
+				s.logf("service: persist %s: %v", j.id, err)
+			}
+		}
+	}
+
 	s.mu.Lock()
 	j.finishedAt = finished
 	switch outcome {
@@ -510,25 +531,6 @@ func (s *Service) runJob(j *job) {
 	s.mu.Unlock()
 	close(j.done)
 	s.publish("job/"+j.id, "job-"+outcome, v)
-	s.metrics.JobFinished(outcome, finished.Sub(j.startedAt))
-	if outcome == "completed" {
-		for _, c := range res.Total.Components {
-			s.metrics.PrefetchComponent(c.Name, c.Issued, c.Useful)
-		}
-	}
-
-	if outcome == "completed" && s.store != nil {
-		entry := StoredResult{
-			Key:       j.key,
-			Spec:      j.spec,
-			Result:    res,
-			CreatedAt: finished,
-			ElapsedMS: finished.Sub(j.startedAt).Milliseconds(),
-		}
-		if err := s.store.Put(entry); err != nil {
-			s.logf("service: persist %s: %v", j.id, err)
-		}
-	}
 	s.logf("service: %s %s in %s (%s cores=%d scheme=%s)",
 		j.id, outcome, finished.Sub(j.startedAt).Round(time.Millisecond),
 		j.spec.Workload, j.spec.Cores, j.spec.Scheme)

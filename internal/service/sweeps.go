@@ -57,13 +57,6 @@ type SweepView struct {
 	Artifacts []string `json:"artifacts,omitempty"`
 }
 
-// artifactContentTypes maps artifact names to their media types.
-var artifactContentTypes = map[string]string{
-	"results.json": "application/json",
-	"results.csv":  "text/csv; charset=utf-8",
-	"pareto.csv":   "text/csv; charset=utf-8",
-}
-
 // SubmitSweep validates and launches a design-space sweep. Sweep
 // identity is content-derived (spec + budgets), so resubmitting an
 // identical spec attaches to the running sweep or returns the
@@ -182,15 +175,7 @@ func (s *Service) runSweep(run *sweepRun, runner *sweep.Runner) {
 	var errMsg string
 	switch {
 	case err == nil:
-		a := out.Artifact()
-		artifacts = make(map[string][]byte)
-		if data, jerr := a.JSON(); jerr == nil {
-			artifacts["results.json"] = data
-		}
-		artifacts["results.csv"] = a.CSV()
-		if p := a.ParetoCSV(); p != nil {
-			artifacts["pareto.csv"] = p
-		}
+		artifacts = out.Artifact().Files()
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		state = SweepCanceled
 		errMsg = err.Error()
@@ -199,6 +184,13 @@ func (s *Service) runSweep(run *sweepRun, runner *sweep.Runner) {
 		errMsg = err.Error()
 	}
 
+	// Artifacts reach disk and metrics count the sweep before the
+	// terminal state is visible, so a client that sees it finished can
+	// rely on both.
+	if state == SweepCompleted {
+		s.persistArtifacts(run.id, artifacts)
+	}
+	s.metrics.SweepFinished(string(state))
 	s.mu.Lock()
 	run.state = state
 	run.errMsg = errMsg
@@ -208,13 +200,11 @@ func (s *Service) runSweep(run *sweepRun, runner *sweep.Runner) {
 	s.mu.Unlock()
 	close(run.done)
 	if state == SweepCompleted {
-		s.persistArtifacts(run.id, artifacts)
 		s.publish("sweep/"+run.id, "artifact-ready", struct {
 			Artifacts []string `json:"artifacts"`
 		}{v.Artifacts})
 	}
 	s.publish("sweep/"+run.id, "sweep-"+string(state), v)
-	s.metrics.SweepFinished(string(state))
 	s.logf("service: sweep %s %s (%d/%d points, %d recovered)",
 		run.id, state, run.completed, run.total, run.recovered)
 }
@@ -304,9 +294,5 @@ func (s *Service) SweepArtifact(id, name string) (data []byte, contentType strin
 	if !ok {
 		return nil, "", false
 	}
-	ct := artifactContentTypes[name]
-	if ct == "" {
-		ct = "application/octet-stream"
-	}
-	return data, ct, true
+	return data, sweep.ArtifactContentType(name), true
 }

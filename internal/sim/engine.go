@@ -568,51 +568,25 @@ func (e *Engine) Warm(specs []RunSpec) error {
 	return e.WarmContext(context.Background(), specs)
 }
 
-// WarmContext is Warm with cancellation: in-flight simulations stop at
-// their next context poll and the first error (which may be ctx.Err())
-// is returned. Submission short-circuits once an error is recorded —
-// warming exists only to fill the memo, so continuing to launch the
-// remaining specs after a failure would burn cycles on results the
-// caller is about to discard.
+// WarmContext is Warm with cancellation: it is RunBatchContext at
+// GOMAXPROCS workers with no result callback.
 func (e *Engine) WarmContext(ctx context.Context, specs []RunSpec) error {
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for _, spec := range specs {
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s RunSpec) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if _, err := e.RunContext(ctx, s); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(spec)
-	}
-	wg.Wait()
-	return firstErr
+	return e.RunBatchContext(ctx, specs, 0, nil)
 }
 
-// RunBatchContext executes specs concurrently (bounded by workers;
-// workers < 1 means GOMAXPROCS), sharing warm-up work among ForkWarm
-// specs: specs with equal warm keys form a group whose scheme-neutral
-// warm phase runs ONCE, is snapshotted, and seeds every member's
-// measurement machine via restore. Non-ForkWarm specs (and memoised
-// members) resolve through the ordinary RunContext path. onResult, when
-// non-nil, receives every spec's outcome as it completes, identified by
-// its index into specs; it must be safe for concurrent calls. The
-// returned error is the first failure (results already delivered stand).
+// RunBatchContext is the engine's one executor for a set of specs. It
+// runs them concurrently (bounded by workers; workers < 1 means
+// GOMAXPROCS), sharing warm-up work among ForkWarm specs: specs with
+// equal warm keys form a group whose scheme-neutral warm phase runs
+// ONCE, is snapshotted, and seeds every member's measurement machine via
+// restore. Non-ForkWarm specs (and memoised members) resolve through the
+// ordinary RunContext path. Specs start in spec order, each once it
+// holds a worker slot, and no further spec starts after one has failed:
+// the caller is about to discard the batch, so the rest would only burn
+// cycles. onResult, when non-nil, receives every started spec's outcome
+// as it completes, identified by its index into specs; it must be safe
+// for concurrent calls. The returned error is the first failure (results
+// already delivered stand).
 func (e *Engine) RunBatchContext(ctx context.Context, specs []RunSpec, workers int, onResult func(i int, res Result, err error, elapsed time.Duration)) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -631,81 +605,103 @@ func (e *Engine) RunBatchContext(ctx context.Context, specs []RunSpec, workers i
 			onResult(i, res, err, elapsed)
 		}
 	}
-	// runSolo resolves one spec through RunContext under a worker slot.
-	runSolo := func(i int) {
-		defer wg.Done()
+	// acquire takes a worker slot and reports whether work may start
+	// on it; after a failure it hands the slot straight back.
+	acquire := func() bool {
 		sem <- struct{}{}
-		defer func() { <-sem }()
-		start := time.Now()
-		res, err := e.RunContext(ctx, specs[i])
-		emit(i, res, err, time.Since(start))
+		mu.Lock()
+		failed := firstErr != nil
+		mu.Unlock()
+		if failed {
+			<-sem
+		}
+		return !failed
+	}
+	// start resolves spec i through fn on a new goroutine that holds a
+	// worker slot, taken before the goroutine starts. It reports false,
+	// starting nothing, once a spec has failed.
+	start := func(i int, fn func() (Result, error)) bool {
+		if !acquire() {
+			return false
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			t0 := time.Now()
+			res, err := fn()
+			emit(i, res, err, time.Since(t0))
+		}()
+		return true
+	}
+	solo := func(i int) func() (Result, error) {
+		return func() (Result, error) { return e.RunContext(ctx, specs[i]) }
+	}
+
+	// Group coordinators are lightweight and do NOT hold worker slots;
+	// only warm phases and member measurements take them. (A
+	// coordinator holding a slot while its members wait for slots would
+	// deadlock at workers=1.)
+	runGroup := func(members []int) {
+		defer wg.Done()
+		// Members already memoised need no warm machine; resolve them
+		// through the cache and only warm for the rest.
+		var todo []int
+		for _, i := range members {
+			e.mu.Lock()
+			_, hit := e.memo[specs[i].key()]
+			e.mu.Unlock()
+			if !hit {
+				todo = append(todo, i)
+			} else if !start(i, solo(i)) {
+				return
+			}
+		}
+		if len(todo) == 0 || !acquire() {
+			return
+		}
+		warmStart := time.Now()
+		e.mu.Lock()
+		e.counters.Simulations++
+		e.mu.Unlock()
+		snap, err := e.warmSnapshot(ctx, specs[todo[0]].warmSpec())
+		warmElapsed := time.Since(warmStart)
+		<-sem
+		if err != nil {
+			for _, i := range todo {
+				emit(i, Result{}, err, warmElapsed)
+			}
+			return
+		}
+		for _, i := range todo {
+			measure := func() (Result, error) {
+				return e.runShared(ctx, specs[i], func(ctx context.Context) (Result, error) {
+					return e.measureFrom(ctx, specs[i], snap)
+				})
+			}
+			if !start(i, measure) {
+				return
+			}
+		}
 	}
 
 	groups := make(map[string][]int)
+	warmKeys := make([]string, len(specs))
+	for i, s := range specs {
+		if s.ForkWarm {
+			warmKeys[i] = s.WarmKey()
+			groups[warmKeys[i]] = append(groups[warmKeys[i]], i)
+		}
+	}
 	for i, s := range specs {
 		if !s.ForkWarm {
+			if !start(i, solo(i)) {
+				break
+			}
+		} else if members := groups[warmKeys[i]]; members[0] == i {
 			wg.Add(1)
-			go runSolo(i)
-			continue
+			go runGroup(members)
 		}
-		k := s.WarmKey()
-		groups[k] = append(groups[k], i)
-	}
-
-	// Group goroutines are lightweight coordinators and do NOT hold
-	// worker slots; only warm phases and member measurements acquire
-	// them. (A coordinator holding a slot while its members wait for
-	// slots would deadlock at workers=1.)
-	for _, members := range groups {
-		wg.Add(1)
-		go func(members []int) {
-			defer wg.Done()
-			// Members already memoised need no warm machine; resolve
-			// them through the cache and only warm for the rest.
-			var todo []int
-			for _, i := range members {
-				e.mu.Lock()
-				_, hit := e.memo[specs[i].key()]
-				e.mu.Unlock()
-				if hit {
-					wg.Add(1)
-					go runSolo(i)
-					continue
-				}
-				todo = append(todo, i)
-			}
-			if len(todo) == 0 {
-				return
-			}
-			warm := specs[todo[0]].warmSpec()
-			sem <- struct{}{}
-			warmStart := time.Now()
-			e.mu.Lock()
-			e.counters.Simulations++
-			e.mu.Unlock()
-			snap, err := e.warmSnapshot(ctx, warm)
-			warmElapsed := time.Since(warmStart)
-			<-sem
-			if err != nil {
-				for _, i := range todo {
-					emit(i, Result{}, err, warmElapsed)
-				}
-				return
-			}
-			for _, i := range todo {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					start := time.Now()
-					res, err := e.runShared(ctx, specs[i], func(ctx context.Context) (Result, error) {
-						return e.measureFrom(ctx, specs[i], snap)
-					})
-					emit(i, res, err, time.Since(start))
-				}(i)
-			}
-		}(members)
 	}
 	wg.Wait()
 	return firstErr

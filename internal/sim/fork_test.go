@@ -310,6 +310,41 @@ func TestWarmContextShortCircuits(t *testing.T) {
 	if c := e.Counters(); c.Simulations > 2 {
 		t.Fatalf("WarmContext kept submitting after the first error: %+v", c)
 	}
+
+	// The same executor with fork groups mixed in: at one worker the
+	// failing solo spec takes the only slot before any later spec or
+	// group warm-up can, and it fails before handing the slot back, so
+	// nothing else may start and the batch must not deadlock.
+	t.Run("RunBatchContext mixed fork and solo at one worker", func(t *testing.T) {
+		e := smallEngine()
+		fork := func(entries int) RunSpec {
+			return RunSpec{Workload: w, Cores: 1, Scheme: "discontinuity", TableEntries: entries, Bypass: true, ForkWarm: true}
+		}
+		specs := []RunSpec{
+			{Workload: w, Cores: 1, Scheme: "zzz"}, // fails at build
+			fork(256),
+			{Workload: w, Cores: 1, Scheme: "none"},
+			fork(512),
+			{Workload: w, Cores: 1, Scheme: "n4l-tagged"},
+			fork(1024),
+		}
+		var mu sync.Mutex
+		var delivered []int
+		err := e.RunBatchContext(context.Background(), specs, 1, func(i int, _ Result, _ error, _ time.Duration) {
+			mu.Lock()
+			delivered = append(delivered, i)
+			mu.Unlock()
+		})
+		if err == nil {
+			t.Fatal("bad spec ran without error")
+		}
+		if len(delivered) != 1 || delivered[0] != 0 {
+			t.Fatalf("specs started after the failure: delivered %v, want [0]", delivered)
+		}
+		if c := e.Counters(); c.Simulations != 1 {
+			t.Fatalf("RunBatchContext kept starting work after the first error: %+v", c)
+		}
+	})
 }
 
 // TestRunBatchContextMemoAndSolo covers the batching layer's edges:

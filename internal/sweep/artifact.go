@@ -244,6 +244,36 @@ func (a *Artifact) JSON() ([]byte, error) {
 	return json.MarshalIndent(a, "", "  ")
 }
 
+// Files renders the artifact's downloadable file set: results.json,
+// results.csv and, when the sweep has a frontier, pareto.csv. A
+// results.json that fails to marshal is left out.
+func (a *Artifact) Files() map[string][]byte {
+	files := map[string][]byte{"results.csv": a.CSV()}
+	if data, err := a.JSON(); err == nil {
+		files["results.json"] = data
+	}
+	if p := a.ParetoCSV(); p != nil {
+		files["pareto.csv"] = p
+	}
+	return files
+}
+
+var artifactContentTypes = map[string]string{
+	"results.json": "application/json",
+	"results.csv":  "text/csv; charset=utf-8",
+	"pareto.csv":   "text/csv; charset=utf-8",
+}
+
+// ArtifactContentType returns the media type to serve an artifact file
+// with: the file's own type for the names Files produces,
+// application/octet-stream for any other.
+func ArtifactContentType(name string) string {
+	if ct, ok := artifactContentTypes[name]; ok {
+		return ct
+	}
+	return "application/octet-stream"
+}
+
 func csvOf(t *stats.Table) string {
 	var sb strings.Builder
 	t.CSV(&sb)

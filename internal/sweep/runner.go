@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -11,10 +10,10 @@ import (
 )
 
 // Runner executes sweeps: it expands a Spec, replays already
-// checkpointed points from the Journal, and shards the remaining
-// points across a bounded worker pool over Engine.RunContext (whose
-// memoisation and in-flight dedup are shared with any other traffic on
-// the same engine, e.g. the service job queue).
+// checkpointed points from the Journal, and runs the remaining points
+// through RunPoints (whose engine memoisation and in-flight dedup are
+// shared with any other traffic on the same engine, e.g. the service
+// job queue).
 type Runner struct {
 	// Engine executes the points; its budgets (WarmInstrs,
 	// MeasureInstrs, Seed) are part of every point's identity.
@@ -101,72 +100,37 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	r.logf("sweep %s: %d points (%d checkpointed, %d to run)",
 		spec.ID(warm, measure, seed), len(points), out.Recovered, len(todo))
 
-	// Pass 2: shard the remainder across the worker pool. Grids with
-	// fork-warm points route through the engine's batching layer so
-	// points sharing a warm phase fork from one snapshot instead of each
-	// re-running the warm-up.
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	anyFork := false
-	for _, p := range todo {
-		if p.ForkWarm {
-			anyFork = true
-			break
-		}
-	}
-	if anyFork {
-		if err := r.runBatch(ctx, todo, workers, warm, measure, seed, resolve); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for _, p := range todo {
-		if err := ctx.Err(); err != nil {
-			fail(err)
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p Point) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, err := r.runPoint(ctx, p, warm, measure, seed)
-			if err != nil {
-				fail(err)
-				return
+	// Pass 2: run the remainder, checkpointing each point as it lands
+	// so an interrupted run resumes from every point that finished.
+	err = RunPoints(ctx, r.Engine, todo, r.Workers, func(res PointResult) error {
+		if r.Journal != nil {
+			if err := r.Journal.Put(res); err != nil {
+				// A failed checkpoint costs recomputation on resume,
+				// not correctness; log and continue.
+				r.logf("sweep: checkpoint point %d: %v", res.Point.Index, err)
 			}
-			resolve(res)
-		}(p)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		}
+		resolve(res)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// runBatch resolves the remaining points through RunBatchContext, which
-// groups fork-warm points by shared warm phase and runs the rest solo.
-// Checkpointing happens in the completion callback, so an interrupted
-// batch still resumes from every point that finished.
-func (r *Runner) runBatch(ctx context.Context, todo []Point, workers int, warm, measure, seed uint64, resolve func(PointResult)) error {
-	specs := make([]sim.RunSpec, len(todo))
-	keys := make([]string, len(todo))
-	for i, p := range todo {
-		key, err := p.Key(warm, measure, seed)
+// RunPoints simulates points on eng through Engine.RunBatchContext
+// (workers < 1 means GOMAXPROCS), so fork-warm points sharing a warm
+// phase fork from one snapshot and the rest run solo. Each point's key
+// and RunSpec derive from the engine's budgets. onResult receives every
+// completed point and may be called concurrently. RunPoints returns the
+// first simulation error, else the first onResult error; points already
+// delivered stand.
+func RunPoints(ctx context.Context, eng *sim.Engine, points []Point, workers int, onResult func(PointResult) error) error {
+	specs := make([]sim.RunSpec, len(points))
+	keys := make([]string, len(points))
+	for i, p := range points {
+		key, err := p.Key(eng.WarmInstrs, eng.MeasureInstrs, eng.Seed)
 		if err != nil {
 			return err
 		}
@@ -176,44 +140,24 @@ func (r *Runner) runBatch(ctx context.Context, todo []Point, workers int, warm, 
 		}
 		keys[i], specs[i] = key, rs
 	}
-	return r.Engine.RunBatchContext(ctx, specs, workers, func(i int, simRes sim.Result, err error, elapsed time.Duration) {
+	var mu sync.Mutex
+	var cbErr error
+	err := eng.RunBatchContext(ctx, specs, workers, func(i int, simRes sim.Result, err error, elapsed time.Duration) {
 		if err != nil {
 			return // RunBatchContext returns the first error itself
 		}
-		res := NewPointResult(todo[i], keys[i], simRes, elapsed)
-		if r.Journal != nil {
-			if jerr := r.Journal.Put(res); jerr != nil {
-				r.logf("sweep: checkpoint point %d: %v", todo[i].Index, jerr)
+		if err := onResult(NewPointResult(points[i], keys[i], simRes, elapsed)); err != nil {
+			mu.Lock()
+			if cbErr == nil {
+				cbErr = err
 			}
+			mu.Unlock()
 		}
-		resolve(res)
 	})
-}
-
-// runPoint simulates one point and checkpoints the result.
-func (r *Runner) runPoint(ctx context.Context, p Point, warm, measure, seed uint64) (PointResult, error) {
-	key, err := p.Key(warm, measure, seed)
 	if err != nil {
-		return PointResult{}, err
+		return err
 	}
-	rs, err := p.RunSpec()
-	if err != nil {
-		return PointResult{}, err
-	}
-	start := time.Now()
-	simRes, err := r.Engine.RunContext(ctx, rs)
-	if err != nil {
-		return PointResult{}, err
-	}
-	res := NewPointResult(p, key, simRes, time.Since(start))
-	if r.Journal != nil {
-		if err := r.Journal.Put(res); err != nil {
-			// A failed checkpoint costs recomputation on resume, not
-			// correctness; log and continue.
-			r.logf("sweep: checkpoint point %d: %v", p.Index, err)
-		}
-	}
-	return res, nil
+	return cbErr
 }
 
 func (r *Runner) logf(format string, args ...any) {
