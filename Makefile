@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race fuzz-smoke bench bench-sweep bench-dist bench-trace bench-core bench-pref bench-service advgen-smoke
+.PHONY: build vet test race fuzz-smoke bench simbench advgen-smoke
 
 build:
 	$(GO) build ./...
@@ -35,38 +35,18 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=Figure -benchmem ./...
 
-# Sweep-throughput trajectory: writes BENCH_sweep.json (points/sec for
-# cold and memoised passes, memo-hit ratio) for cross-PR comparison.
-bench-sweep:
-	$(GO) run ./cmd/sweepbench -o BENCH_sweep.json
-
-# Distributed-sweep scaling trajectory: writes BENCH_dist.json
-# (points/sec with 1 worker vs a 4-worker fleet over real HTTP leases).
-bench-dist:
-	$(GO) run ./cmd/distbench -o BENCH_dist.json
-
-# Trace codec trajectory: writes BENCH_trace.json (v1 vs v2 encode and
-# decode throughput, compression ratio, 1-vs-4-shard decode scaling,
-# plus per-workload chunk-codec comparison rows — flate vs the
-# delta+varint columnar pre-pass — and cross-seed chunk dedup ratios).
-bench-trace:
-	$(GO) run ./cmd/tracebench -o BENCH_trace.json
-
-# Simulation hot-path trajectory: writes BENCH_core.json
-# (instructions/sec per scheme × core count). The build picks up
-# cmd/corebench/default.pgo automatically for profile-guided optimisation.
-bench-core:
-	$(GO) run ./cmd/corebench -o BENCH_core.json
-
-# Control-plane saturation trajectory: writes BENCH_service.json
-# (p50/p99/p999 job latency, sweeps/s, shed rate) from a closed-loop
-# 1k-client run against an in-process daemon with admission enabled.
-bench-service:
-	$(GO) run ./cmd/loadgen -self -clients 1024 -duration 30s -quota-per-sec 200 -out BENCH_service.json
-
-# Prefetcher-zoo trajectory: writes BENCH_pref.json (per-scheme
-# Minstr/s, accuracy and miss coverage vs the no-prefetch baseline on
-# the four paper workloads, with per-component attribution for
-# hybrid:* composites).
-bench-pref:
-	$(GO) run ./cmd/prefbench -o BENCH_pref.json
+# The simulator's benchmark (simbench/, its own Go module): its vet and
+# tests (the LRU L1-I model, replay equals live, fork batch equals
+# solo, the corrupt-input checks), then a short run of each workload
+# and one traced run. Fails unless every printed line reports
+# "correct":true and "failed":0 (what CI runs).
+simbench:
+	cd simbench && $(GO) vet . && $(GO) test .
+	@for run in "cmp-cold 0" "trace-replay 0" "daemon-sweep 0" "cmp-cold 1"; do \
+		set -- $$run; \
+		out=$$(bash simbench/run.sh --workload $$1 --seed 1 --seconds 2 --trace $$2); status=$$?; \
+		echo "$$out"; \
+		if [ $$status -ne 0 ] || ! echo "$$out" | awk '!/"correct":true/ || !/"failed":0[,}]/ {bad = 1} END {exit bad || NR == 0}'; then \
+			echo "simbench $$1 --trace $$2: a check or an operation failed" >&2; exit 1; \
+		fi; \
+	done

@@ -275,7 +275,7 @@ func ingestCmd(ctx context.Context, args []string) {
 			fatal(err)
 		}
 		defer f.Close()
-		if m, err = store.Ingest(f, *chunk, "ingest"); err != nil {
+		if m, err = store.Ingest(f, "ingest"); err != nil {
 			fatal(err)
 		}
 	case *app != "":

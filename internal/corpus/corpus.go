@@ -716,10 +716,9 @@ func (s *Store) Put(r io.Reader, source string) (Manifest, error) {
 }
 
 // Ingest decodes any readable trace (v1 stream or v2 container) and
-// stores it. chunkRecords is retained for interface stability; chunk
-// geometry is content-defined now, so it is ignored.
-func (s *Store) Ingest(r io.Reader, chunkRecords int, source string) (Manifest, error) {
-	_ = chunkRecords
+// stores it. Chunk geometry is content-defined, so the input's own
+// chunking does not carry over.
+func (s *Store) Ingest(r io.Reader, source string) (Manifest, error) {
 	tr, err := trace.NewReader(r)
 	if err != nil {
 		return Manifest{}, fmt.Errorf("corpus: %w", err)
@@ -742,10 +741,8 @@ func (s *Store) Ingest(r io.Reader, chunkRecords int, source string) (Manifest, 
 }
 
 // Capture records n blocks from a live source straight into the store
-// — the generator-capture adapter. chunkRecords is retained for
-// interface stability and ignored (chunking is content-defined).
-func (s *Store) Capture(src workload.Source, name string, asid uint64, n uint64, chunkRecords int) (Manifest, error) {
-	_ = chunkRecords
+// — the generator-capture adapter.
+func (s *Store) Capture(src workload.Source, name string, asid uint64, n uint64) (Manifest, error) {
 	ing := s.newIngester(name, asid)
 	var b isa.Block
 	for i := uint64(0); i < n; i++ {

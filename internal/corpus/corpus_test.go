@@ -29,7 +29,7 @@ func newStore(t *testing.T) *Store {
 func captureWeb(t *testing.T, s *Store, seed, n uint64) Manifest {
 	t.Helper()
 	prog := workload.MustBuildProgram(workload.Web(), 0)
-	m, err := s.Capture(workload.NewGenerator(prog, seed), "Web", 0, n, 0)
+	m, err := s.Capture(workload.NewGenerator(prog, seed), "Web", 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestIngestV1ConvertsToChunks(t *testing.T) {
 	if err := trace.Record(&v1, "Web", 0, workload.NewGenerator(prog, 7), n); err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.Ingest(bytes.NewReader(v1.Bytes()), 0, "ingest")
+	m, err := s.Ingest(bytes.NewReader(v1.Bytes()), "ingest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestFailedIngestLeavesStoreClean(t *testing.T) {
 		t.Fatal("corrupted container accepted")
 	}
 	// Truncated v1 input through Ingest as well.
-	if _, err := s.Ingest(bytes.NewReader(v1.Bytes()[:v1.Len()-3]), 0, "ingest"); err == nil {
+	if _, err := s.Ingest(bytes.NewReader(v1.Bytes()[:v1.Len()-3]), "ingest"); err == nil {
 		t.Fatal("truncated v1 stream accepted by Ingest")
 	}
 

@@ -49,11 +49,11 @@ func TestCrossSeedChunkDedup(t *testing.T) {
 	prog := workload.MustBuildProgram(p, 0)
 	const n = 60000 // blocks; ~8 transactions of deterministic body
 
-	m1, err := s.Capture(workload.NewGenerator(prog, 101), p.Name, 0, n, 0)
+	m1, err := s.Capture(workload.NewGenerator(prog, 101), p.Name, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := s.Capture(workload.NewGenerator(prog, 202), p.Name, 0, n, 0)
+	m2, err := s.Capture(workload.NewGenerator(prog, 202), p.Name, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCrossSeedChunkDedup(t *testing.T) {
 func TestIdenticalRecaptureIsFullyShared(t *testing.T) {
 	s := newStore(t)
 	prog := workload.MustBuildProgram(workload.Web(), 0)
-	m1, err := s.Capture(workload.NewGenerator(prog, 7), "Web", 0, 2000, 0)
+	m1, err := s.Capture(workload.NewGenerator(prog, 7), "Web", 0, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestIdenticalRecaptureIsFullyShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := s.Capture(workload.NewGenerator(prog, 7), "Web", 0, 2000, 0)
+	m2, err := s.Capture(workload.NewGenerator(prog, 7), "Web", 0, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

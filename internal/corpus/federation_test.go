@@ -89,11 +89,11 @@ func TestFetcherSkipsSharedChunks(t *testing.T) {
 	src := newStore(t)
 	p := dedupProfile()
 	prog := workload.MustBuildProgram(p, 0)
-	m1, err := src.Capture(workload.NewGenerator(prog, 101), p.Name, 0, 40000, 0)
+	m1, err := src.Capture(workload.NewGenerator(prog, 101), p.Name, 0, 40000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := src.Capture(workload.NewGenerator(prog, 202), p.Name, 0, 40000, 0)
+	m2, err := src.Capture(workload.NewGenerator(prog, 202), p.Name, 0, 40000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func TestGCConcurrentWithIngest(t *testing.T) {
 		writerWG.Add(1)
 		go func(i int) {
 			defer writerWG.Done()
-			m, err := s.Capture(workload.NewGenerator(prog, uint64(100+i)), "Web", 0, 1200, 0)
+			m, err := s.Capture(workload.NewGenerator(prog, uint64(100+i)), "Web", 0, 1200)
 			if err != nil {
 				errs[i] = err
 				return

@@ -41,12 +41,12 @@ func TestParseSelector(t *testing.T) {
 func TestSelectFiltersAndSorts(t *testing.T) {
 	s := newStore(t)
 	prog := workload.MustBuildProgram(workload.Web(), 0)
-	mWeb, err := s.Capture(workload.NewGenerator(prog, 1), "Web", 0, 3000, 0)
+	mWeb, err := s.Capture(workload.NewGenerator(prog, 1), "Web", 0, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dbProg := workload.MustBuildProgram(workload.DB(), 0)
-	mDB, err := s.Capture(workload.NewGenerator(dbProg, 1), "DB2", 0, 3000, 0)
+	mDB, err := s.Capture(workload.NewGenerator(dbProg, 1), "DB2", 0, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,7 @@
 // so followers can redirect writes, an SSE Broker fans out streaming
 // job/sweep progress events with Last-Event-ID resume, and a
 // token-bucket Limiter sheds abusive clients with 429 + Retry-After
-// before they reach the job queue. cmd/loadgen drives the whole stack
-// closed-loop and writes BENCH_service.json.
+// before they reach the job queue.
 package ctlplane
 
 import (

@@ -23,11 +23,11 @@ func TestCorpusSelectITLBMpki(t *testing.T) {
 	cfg.ResultDir = t.TempDir()
 	s, srv := newTestServer(t, cfg)
 
-	db, err := s.Corpus().Capture(workload.NewGenerator(workload.MustBuildProgram(workload.DB(), 0), 1), "DB", 0, 10_000, 0)
+	db, err := s.Corpus().Capture(workload.NewGenerator(workload.MustBuildProgram(workload.DB(), 0), 1), "DB", 0, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := s.Corpus().Capture(workload.NewGenerator(workload.MustBuildProgram(workload.Microservice(), 0), 1), "Microservice", 0, 10_000, 0)
+	ms, err := s.Corpus().Capture(workload.NewGenerator(workload.MustBuildProgram(workload.Microservice(), 0), 1), "Microservice", 0, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

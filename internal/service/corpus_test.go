@@ -261,7 +261,7 @@ func TestLiveVsReplaySweepIdentical(t *testing.T) {
 	s := newTestService(t, cfg) // registers the store as a trace provider
 
 	prog := workload.MustBuildProgram(workload.DB(), 0)
-	man, err := s.Corpus().Capture(workload.NewGenerator(prog, 1), "DB", 0, 15_000, 0)
+	man, err := s.Corpus().Capture(workload.NewGenerator(prog, 1), "DB", 0, 15_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestDistWorkersFetchTraceByHash(t *testing.T) {
 	s, srv := newTestServer(t, cfg)
 
 	prog := workload.MustBuildProgram(workload.DB(), 0)
-	man, err := s.Corpus().Capture(workload.NewGenerator(prog, 1), "DB", 0, 15_000, 0)
+	man, err := s.Corpus().Capture(workload.NewGenerator(prog, 1), "DB", 0, 15_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestFederatedReplaySweepMatchesLocal(t *testing.T) {
 	sA, srvA := newTestServer(t, cfgA)
 
 	prog := workload.MustBuildProgram(workload.DB(), 0)
-	man, err := sA.Corpus().Capture(workload.NewGenerator(prog, 1), "DB", 0, 15_000, 0)
+	man, err := sA.Corpus().Capture(workload.NewGenerator(prog, 1), "DB", 0, 15_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,11 +546,11 @@ func TestCorpusSelectSweepAxisEndToEnd(t *testing.T) {
 	cfg.ResultDir = t.TempDir()
 	s, srv := newTestServer(t, cfg)
 
-	db, err := s.Corpus().Capture(workload.NewGenerator(workload.MustBuildProgram(workload.DB(), 0), 1), "DB", 0, 10_000, 0)
+	db, err := s.Corpus().Capture(workload.NewGenerator(workload.MustBuildProgram(workload.DB(), 0), 1), "DB", 0, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	web, err := s.Corpus().Capture(workload.NewGenerator(workload.MustBuildProgram(workload.Web(), 0), 1), "Web", 0, 10_000, 0)
+	web, err := s.Corpus().Capture(workload.NewGenerator(workload.MustBuildProgram(workload.Web(), 0), 1), "Web", 0, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +647,7 @@ func TestCorpusGCRootedBySweepJournals(t *testing.T) {
 	cfg.CorpusGCGrace = -1 // collect immediately, no mtime grace
 	s := newTestService(t, cfg)
 
-	man, err := s.Corpus().Capture(workload.NewGenerator(workload.MustBuildProgram(workload.DB(), 0), 1), "DB", 0, 15_000, 0)
+	man, err := s.Corpus().Capture(workload.NewGenerator(workload.MustBuildProgram(workload.DB(), 0), 1), "DB", 0, 15_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,8 +205,9 @@ func TestJobEventStream(t *testing.T) {
 
 // TestAdmissionControlHTTP drives the token-bucket limiter through the
 // HTTP edge: over-quota clients get 429 + Retry-After, keyed clients
-// get their own quota, and admitted work is unaffected by the shedding
-// around it.
+// get their own quota, admitted work is unaffected by the shedding
+// around it, and the limiter's shed counter equals the 429s clients
+// saw.
 func TestAdmissionControlHTTP(t *testing.T) {
 	cfg := testConfig(t)
 	s, srv := newTestServer(t, cfg)
@@ -215,6 +216,7 @@ func TestAdmissionControlHTTP(t *testing.T) {
 		Clients: map[string]ctlplane.Quota{"gold-token": {PerSec: -1}},
 	})
 
+	var seen429 uint64
 	post := func(apiKey, body string) *http.Response {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/jobs", strings.NewReader(body))
@@ -230,6 +232,9 @@ func TestAdmissionControlHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { resp.Body.Close() })
+		if resp.StatusCode == http.StatusTooManyRequests {
+			seen429++
+		}
 		return resp
 	}
 
@@ -269,6 +274,9 @@ func TestAdmissionControlHTTP(t *testing.T) {
 	admitted, shed := s.Limiter().Counters()
 	if admitted < 12 || shed < 1 {
 		t.Fatalf("limiter counters: admitted=%d shed=%d", admitted, shed)
+	}
+	if shed != seen429 {
+		t.Fatalf("limiter shed %d != client-observed 429s %d", shed, seen429)
 	}
 
 	// Hot reload: a fresh policy takes effect immediately.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -54,6 +56,40 @@ func TestRunSpecKeyGolden(t *testing.T) {
 	for _, c := range cases {
 		if got := c.spec.Key(); got != c.want {
 			t.Errorf("%s: Key() =\n  %q\nwant\n  %q", c.name, got, c.want)
+		}
+	}
+}
+
+// TestCacheKeyCoversConfig fails when cache.Config gains a field that
+// cacheKey does not write: each field must appear by name, and changing
+// any one of them must change the key, or two different geometries
+// would share memo entries, stored results and journal keys.
+func TestCacheKeyCoversConfig(t *testing.T) {
+	base := cache.Config{SizeBytes: 16 << 10, Assoc: 2, LineBytes: 64}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if !strings.Contains(cacheKey(base), name+":") {
+			t.Errorf("cacheKey does not name cache.Config.%s", name)
+		}
+		c := base
+		f := reflect.ValueOf(&c).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Float32, reflect.Float64:
+			f.SetFloat(f.Float() + 1)
+		default:
+			t.Fatalf("cache.Config.%s has kind %s: teach cacheKey and this test to write it", name, f.Kind())
+		}
+		if cacheKey(c) == cacheKey(base) {
+			t.Errorf("cacheKey ignores cache.Config.%s", name)
 		}
 	}
 }
