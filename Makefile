@@ -30,7 +30,7 @@ advgen-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=10s
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzRoundTripV2 -fuzztime=10s
-	$(GO) test ./internal/corpus -run='^$$' -fuzz=FuzzChunker -fuzztime=10s
+	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzChunker -fuzztime=10s
 
 bench:
 	$(GO) test -bench=Figure -benchmem ./...

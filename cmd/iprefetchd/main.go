@@ -32,7 +32,7 @@
 //	GET  /v1/sweeps/{id}  sweep progress (completed/total points)
 //	GET  /v1/sweeps/{id}/artifacts/{name}  download a sweep artifact
 //	GET  /v1/figures/{id} run a paper figure ("1".."10") or ablation ("a1".."a10")
-//	POST /v1/corpus       upload a v2 trace container (needs -data; size-capped)
+//	POST /v1/corpus       upload a trace container (needs -data; size-capped)
 //	GET  /v1/corpus       list trace-corpus entries (?select=<expr> filters by
 //	                      fingerprint, e.g. select=footprint>4096,cti>0.1)
 //	GET  /v1/corpus/{id}[/manifest]      download a container / its manifest

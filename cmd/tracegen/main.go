@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	tracegen record  -app DB -n 1000000 -seed 1 -o db.itf -v2 [-chunk 4096]
-//	tracegen record  -app DB -n 1000000 -seed 1 -o db.trc       # flat v1 stream
+//	tracegen record  -app DB -n 1000000 -seed 1 -o db.itf
 //	tracegen stats   -i db.itf
 //	tracegen analyze -app DB -n 1000000   # footprint/reuse/discontinuity study
 //	tracegen analyze -i db.itf            # same, over a recorded trace
-//	tracegen verify  -i db.itf            # chunk CRCs + index + counts
+//	tracegen verify  -i db.itf            # frame CRCs + index + counts
 //	tracegen verify  -data ./results -id <sha256>   # corpus entry + fingerprint
-//	tracegen ingest  -i db.trc -data ./results      # v1/v2 file -> corpus entry
+//	tracegen ingest  -i db.itf -data ./results      # trace file -> corpus entry
 //	tracegen ingest  -app DB -n 1000000 -data ./results  # capture straight in
 //	tracegen corpus  -data ./results      # list corpus entries
 //	tracegen corpus  -data ./results -select 'footprint>4096,cti>0.1'
@@ -25,8 +24,8 @@
 //
 // record and analyze honour SIGINT/SIGTERM and -timeout: the run stops
 // cooperatively with exit status 1, and an interrupted record leaves a
-// valid trace of the blocks captured so far (v2 containers are
-// finalised with their index and footer on interruption).
+// valid trace of the blocks captured so far (the container is
+// finalised with its index and footer on interruption).
 package main
 
 import (
@@ -96,8 +95,6 @@ func record(ctx context.Context, args []string) {
 	n := fs.Uint64("n", 1_000_000, "number of basic blocks to record")
 	seed := fs.Uint64("seed", 1, "stream seed")
 	out := fs.String("o", "", "output file (default stdout)")
-	v2 := fs.Bool("v2", false, "write the chunked IPFTRC02 container (compressed, CRC'd, seekable)")
-	chunk := fs.Int("chunk", 0, "blocks per chunk for -v2 (0 = default)")
 	timeout := fs.Duration("timeout", 0, "abort recording after this long (0 = no limit)")
 	fs.Parse(args)
 	ctx, cancel := withTimeout(ctx, *timeout)
@@ -112,24 +109,14 @@ func record(ctx context.Context, args []string) {
 		defer f.Close()
 		w = f
 	}
-	var err error
-	if *v2 {
-		err = repro.RecordTraceV2Context(ctx, w, *app, *seed, *n, *chunk)
-	} else {
-		err = repro.RecordTraceContext(ctx, w, *app, *seed, *n)
-	}
-	if err != nil {
+	if err := repro.RecordTraceContext(ctx, w, *app, *seed, *n); err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			fmt.Fprintf(os.Stderr, "recording interrupted (%v); partial trace is valid\n", err)
 			os.Exit(1)
 		}
 		fatal(err)
 	}
-	format := "v1"
-	if *v2 {
-		format = "v2"
-	}
-	fmt.Fprintf(os.Stderr, "recorded %d blocks of %s (%s)\n", *n, *app, format)
+	fmt.Fprintf(os.Stderr, "recorded %d blocks of %s\n", *n, *app)
 }
 
 func statsCmd(args []string) {
@@ -199,7 +186,7 @@ func analyzeCmd(ctx context.Context, args []string) {
 	}
 }
 
-// verifyCmd checks integrity: every chunk CRC, count and the index for
+// verifyCmd checks integrity: every frame CRC, count and the index for
 // a container file, plus the content hash and stream fingerprint for a
 // corpus entry.
 func verifyCmd(args []string) {
@@ -247,11 +234,10 @@ func verifyCmd(args []string) {
 // content-addressed corpus entry.
 func ingestCmd(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
-	in := fs.String("i", "", "trace file to ingest (v1 or v2; mutually exclusive with -app)")
+	in := fs.String("i", "", "trace file to ingest (mutually exclusive with -app)")
 	app := fs.String("app", "", "workload to capture live")
 	n := fs.Uint64("n", 1_000_000, "blocks to capture (live mode)")
 	seed := fs.Uint64("seed", 1, "stream seed (live mode)")
-	chunk := fs.Int("chunk", 0, "blocks per chunk (0 = default)")
 	data := fs.String("data", "", "data directory holding the corpus (required)")
 	timeout := fs.Duration("timeout", 0, "abort capture after this long (0 = no limit)")
 	fs.Parse(args)
@@ -275,12 +261,12 @@ func ingestCmd(ctx context.Context, args []string) {
 			fatal(err)
 		}
 		defer f.Close()
-		if m, err = store.Ingest(f, "ingest"); err != nil {
+		if m, err = store.Put(f, "ingest"); err != nil {
 			fatal(err)
 		}
 	case *app != "":
 		var buf bytes.Buffer
-		if err := repro.RecordTraceV2Context(ctx, &buf, *app, *seed, *n, *chunk); err != nil {
+		if err := repro.RecordTraceContext(ctx, &buf, *app, *seed, *n); err != nil {
 			fatal(err)
 		}
 		if m, err = store.Put(bytes.NewReader(buf.Bytes()), "capture"); err != nil {

@@ -1,13 +1,20 @@
 package corpus
 
+// The chunker lives in internal/trace, which cuts container frames with
+// it; these tests pin, from the store's side, the geometry every
+// stored recipe depends on.
+
 import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-func testChunker() Chunker {
-	return Chunker{MinBytes: 256, AvgBytes: 1024, MaxBytes: 4096}
+func testChunker() trace.Chunker {
+	return trace.Chunker{MinBytes: 256, AvgBytes: 1024, MaxBytes: 4096}
 }
 
 func randBytes(seed int64, n int) []byte {
@@ -17,7 +24,7 @@ func randBytes(seed int64, n int) []byte {
 	return p
 }
 
-func checkCuts(t *testing.T, c Chunker, data []byte, cuts []int) {
+func checkCuts(t *testing.T, c trace.Chunker, data []byte, cuts []int) {
 	t.Helper()
 	if len(data) == 0 {
 		if cuts != nil {
@@ -45,10 +52,10 @@ func checkCuts(t *testing.T, c Chunker, data []byte, cuts []int) {
 }
 
 func TestChunkerValidate(t *testing.T) {
-	if err := DefaultChunker().Validate(); err != nil {
+	if err := trace.DefaultChunker().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Chunker{
+	bad := []trace.Chunker{
 		{MinBytes: 16, AvgBytes: 1024, MaxBytes: 4096},  // min < window
 		{MinBytes: 256, AvgBytes: 1000, MaxBytes: 4096}, // avg not power of two
 		{MinBytes: 2048, AvgBytes: 1024, MaxBytes: 512}, // out of order
@@ -139,38 +146,31 @@ func TestSplitResyncsAfterEdit(t *testing.T) {
 }
 
 // TestAlignedChunkerMatchesSplitStatistics: the record-aligned form
-// defers cuts to record ends but must track the same boundary signal;
-// on a stream fed in record-sized pieces where every piece end is a
-// potential cut, its chunks obey min/max (+ one record of slack).
+// the store cuts with defers each cut to a record end but tracks the
+// same boundary signal, so its chunks obey min/max plus at most one
+// record of slack.
 func TestAlignedChunkerMatchesSplitStatistics(t *testing.T) {
-	cfg := testChunker()
-	al := alignedChunker{cfg: cfg}
-	data := randBytes(7, 1<<17)
-	const rec = 37 // record size, deliberately not a divisor of anything
+	cfg := trace.DefaultChunker()
+	blocks := genBlocks(t, workload.DB(), 7, 40000)
+	cb := trace.NewChunkBuilder()
 	var sizes []int
-	cur := 0
-	for off := 0; off < len(data); off += rec {
-		end := off + rec
-		if end > len(data) {
-			end = len(data)
+	for i := range blocks {
+		before := len(cb.Raw())
+		full := cb.Add(&blocks[i])
+		if rec := len(cb.Raw()) - before; len(cb.Raw())-rec >= cfg.MaxBytes {
+			t.Fatalf("chunk grew past max %d before this record", cfg.MaxBytes)
 		}
-		al.feed(data[off:end])
-		cur += end - off
-		if al.shouldCut() {
-			sizes = append(sizes, cur)
-			cur = 0
-			al.cut()
+		if full {
+			sizes = append(sizes, len(cb.Raw()))
+			cb.Reset()
 		}
 	}
 	if len(sizes) < 10 {
-		t.Fatalf("only %d aligned chunks from %d bytes", len(sizes), len(data))
+		t.Fatalf("only %d aligned chunks from %d blocks", len(sizes), len(blocks))
 	}
 	for i, size := range sizes {
 		if size < cfg.MinBytes {
 			t.Fatalf("aligned chunk %d: size %d < min %d", i, size, cfg.MinBytes)
-		}
-		if size > cfg.MaxBytes+rec {
-			t.Fatalf("aligned chunk %d: size %d > max %d + record", i, size, cfg.MaxBytes)
 		}
 	}
 }

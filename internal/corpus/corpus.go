@@ -4,10 +4,11 @@
 // around.
 //
 // Entries are not stored as opaque containers. Each trace's record
-// stream is split at content-defined boundaries (see chunker.go) into
-// chunks kept in a chunk-level CAS (`<dir>/chunks/<sha256>`), and the
-// entry's manifest (`<dir>/<id>.json`) carries the recipe — the
-// ordered chunk list — plus counts and an analysis fingerprint. Near-
+// stream is split at content-defined boundaries into chunk files (both
+// defined in internal/trace) kept in a chunk-level CAS
+// (`<dir>/chunks/<sha256>`), and the entry's manifest
+// (`<dir>/<id>.json`) carries the recipe — the ordered chunk list —
+// plus counts and an analysis fingerprint. Near-
 // duplicate traces (same program, different seed or phase) share
 // chunk files, so the store dedups at chunk granularity and reports
 // the ratio per entry.
@@ -22,7 +23,10 @@
 // Ingest is atomic and strict: the stream is fully decoded and
 // validated before any chunk or manifest is written, chunk and
 // manifest writes are temp-file + rename, and failed ingests leave no
-// temp files behind. Re-ingesting existing content is a no-op.
+// temp files behind. Re-ingesting existing content is a no-op. A
+// container's frames are cut where the store cuts, so ingest keeps
+// their chunk files and download copies them back out instead of
+// re-encoding them.
 package corpus
 
 import (
@@ -60,7 +64,7 @@ const missBandBucket = 9
 
 // idMagic seeds the entry-id hash. The id covers logical content
 // (name, asid, canonical record stream) rather than container bytes,
-// so it survives re-encoding, codec choice and flate implementation
+// so it survives re-encoding, codec changes and flate implementation
 // differences between peers.
 const idMagic = "IPFCID1\n"
 
@@ -331,17 +335,18 @@ type ingester struct {
 	name string
 	asid uint64
 
-	idh     hash.Hash
-	prof    *analysis.Profile
-	al      alignedChunker
-	scratch []byte
-	canon   bytes.Buffer // one canonical record (id hash input)
-	cur     bytes.Buffer // current chunk's self-based record bytes
-
-	curBlocks []isa.Block
-	curInstrs uint64
+	idh       hash.Hash
+	prof      *analysis.Profile
+	chunk     *trace.ChunkBuilder
+	scratch   []byte
+	canon     bytes.Buffer // one canonical record (id hash input)
 	prevCanon isa.Addr
-	prevChunk isa.Addr
+
+	// frame is the chunk file of the input frame the current chunk
+	// began with, and frameRecs its block count: when the chunk ends
+	// where that frame ends, the file is kept instead of re-encoded.
+	frame     []byte
+	frameRecs int
 
 	blocks, instrs uint64
 	chunks         []pendingChunk
@@ -359,7 +364,7 @@ func (s *Store) newIngester(name string, asid uint64) *ingester {
 		asid:    asid,
 		idh:     sha256.New(),
 		prof:    analysis.NewProfile(fingerprintLineBytes),
-		al:      alignedChunker{cfg: DefaultChunker()},
+		chunk:   trace.NewChunkBuilder(),
 		scratch: make([]byte, binary.MaxVarintLen64),
 	}
 	ing.idh.Write([]byte(idMagic))
@@ -367,6 +372,21 @@ func (s *Store) newIngester(name string, asid uint64) *ingester {
 	ing.idh.Write([]byte(name))
 	ing.idh.Write(ing.scratch[:binary.PutUvarint(ing.scratch, asid)])
 	return ing
+}
+
+// addFrame adds one input frame's blocks; file is the frame's chunk
+// file, or nil when the input carries none.
+func (ing *ingester) addFrame(blocks []isa.Block, file []byte) error {
+	ing.frame, ing.frameRecs = nil, 0
+	if ing.chunk.Records() == 0 {
+		ing.frame, ing.frameRecs = file, len(blocks)
+	}
+	for i := range blocks {
+		if err := ing.add(&blocks[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (ing *ingester) add(b *isa.Block) error {
@@ -377,66 +397,54 @@ func (ing *ingester) add(b *isa.Block) error {
 	ing.prevCanon = trace.EncodeRecord(&ing.canon, ing.scratch, ing.prevCanon, b)
 	ing.idh.Write(ing.canon.Bytes())
 
-	// Chunk stream (delta base resets per chunk) feeds the chunker.
-	start := ing.cur.Len()
-	ing.prevChunk = trace.EncodeRecord(&ing.cur, ing.scratch, ing.prevChunk, b)
-	ing.al.feed(ing.cur.Bytes()[start:])
-
-	cp := *b
-	cp.MemOps = slices.Clone(b.MemOps)
-	ing.curBlocks = append(ing.curBlocks, cp)
-	ing.curInstrs += uint64(b.NumInstrs)
 	ing.blocks++
 	ing.instrs += uint64(b.NumInstrs)
-
-	if ing.al.shouldCut() {
+	if ing.chunk.Add(b) {
 		return ing.flush()
 	}
 	return nil
 }
 
-// flush seals the current chunk: hash its raw bytes, compress under
-// both codecs, keep the smaller payload.
+// flush seals the current chunk: hash its raw bytes and take its chunk
+// file, kept from the input frame when the chunk is exactly that frame.
 func (ing *ingester) flush() error {
-	raw := ing.cur.Bytes()
+	var same []byte
+	if ing.chunk.Records() == ing.frameRecs {
+		same = ing.frame
+	}
+	ing.frame, ing.frameRecs = nil, 0
+	file, err := ing.chunk.Encode(same)
+	if err != nil {
+		return err
+	}
+	raw := ing.chunk.Raw()
 	sum := sha256.Sum256(raw)
-	codec, encLen, payload := CodecFlate, 0, []byte(nil)
-	e0, p0, err := EncodePayload(CodecFlate, ing.curBlocks, raw)
-	if err != nil {
-		return err
-	}
-	encLen, payload = e0, p0
-	e1, p1, err := EncodePayload(CodecColumnar, ing.curBlocks, raw)
-	if err != nil {
-		return err
-	}
-	if len(p1) < len(p0) {
-		codec, encLen, payload = CodecColumnar, e1, p1
-	}
 	ing.chunks = append(ing.chunks, pendingChunk{
 		ref: ChunkRef{
 			Hash:    hex.EncodeToString(sum[:]),
-			Records: uint64(len(ing.curBlocks)),
-			Instrs:  ing.curInstrs,
+			Records: uint64(ing.chunk.Records()),
+			Instrs:  ing.chunk.Instrs(),
 			RawLen:  int64(len(raw)),
 		},
-		file: chunkFileBytes(codec, len(raw), encLen, payload),
+		file: file,
 	})
-	ing.cur.Reset()
-	ing.curBlocks = ing.curBlocks[:0]
-	ing.curInstrs = 0
-	ing.prevChunk = 0
-	ing.al.cut()
+	ing.chunk.Reset()
+	return nil
+}
+
+// seal flushes the final partial chunk.
+func (ing *ingester) seal() error {
+	if ing.chunk.Records() > 0 {
+		return ing.flush()
+	}
 	return nil
 }
 
 // finish computes the entry id and commits chunks + manifest. If the
 // store already holds the id, nothing is written.
 func (ing *ingester) finish(source string) (Manifest, error) {
-	if ing.cur.Len() > 0 {
-		if err := ing.flush(); err != nil {
-			return Manifest{}, err
-		}
+	if err := ing.seal(); err != nil {
+		return Manifest{}, err
 	}
 	if ing.blocks == 0 {
 		return Manifest{}, fmt.Errorf("corpus: refusing to store an empty trace")
@@ -568,54 +576,16 @@ func (s *Store) writeManifest(m Manifest) error {
 	return os.Rename(tmpName, s.manifestPath(m.ID))
 }
 
-// chunkFileBytes frames a chunk for disk:
-// [codec][uvarint rawLen][uvarint encLen][payload].
-func chunkFileBytes(codec byte, rawLen, encLen int, payload []byte) []byte {
-	var hdr [1 + 2*binary.MaxVarintLen64]byte
-	hdr[0] = codec
-	n := 1
-	n += binary.PutUvarint(hdr[n:], uint64(rawLen))
-	n += binary.PutUvarint(hdr[n:], uint64(encLen))
-	out := make([]byte, 0, n+len(payload))
-	out = append(out, hdr[:n]...)
-	return append(out, payload...)
-}
-
-func parseChunkFile(file []byte) (codec byte, rawLen, encLen int, payload []byte, err error) {
-	r := bytes.NewReader(file)
-	c, err := r.ReadByte()
-	if err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("chunk file truncated")
-	}
-	rl, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("chunk file header: %w", err)
-	}
-	el, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("chunk file header: %w", err)
-	}
-	if rl > maxChunkEncBytes || el > maxChunkEncBytes {
-		return 0, 0, 0, nil, fmt.Errorf("chunk file header: implausible lengths %d/%d", rl, el)
-	}
-	return c, int(rl), int(el), file[len(file)-r.Len():], nil
-}
-
-// decodeChunkFile parses + decodes a chunk file and, when verify is
-// set, re-encodes the blocks and checks the hash — the gate every
-// untrusted chunk (disk read, peer fetch) passes before the store
-// believes it.
+// decodeChunkFile decodes a chunk file and, when verify is set,
+// re-encodes the blocks and checks the hash — the gate every untrusted
+// chunk (disk read, peer fetch) passes before the store believes it.
 func decodeChunkFile(hash string, file []byte, verify bool) ([]isa.Block, error) {
-	codec, rawLen, encLen, payload, err := parseChunkFile(file)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: chunk %s: %w", hash, err)
-	}
-	blocks, err := DecodePayload(codec, payload, encLen)
+	blocks, rawLen, err := trace.DecodeChunkFile(file)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: chunk %s: %w", hash, err)
 	}
 	if verify {
-		raw := RawRecords(blocks)
+		raw := trace.RawRecords(blocks)
 		if len(raw) != rawLen {
 			return nil, fmt.Errorf("corpus: chunk %s: raw length %d, header claims %d", hash, len(raw), rawLen)
 		}
@@ -670,88 +640,42 @@ func (s *Store) dropCachedChunks(man Manifest) {
 	s.mu.Unlock()
 }
 
-// Put ingests a v2 container from r: the bytes are spooled to a temp
-// file, fully decoded and validated (every chunk CRC and count)
-// before anything lands in the CAS. Re-putting content the store
-// already holds is a no-op returning the existing manifest. source
-// labels the manifest's provenance field.
+// Put ingests a trace from r — an IPFTRC02 container or a legacy v1
+// stream — streaming it once and validating every frame CRC, count
+// and the index before anything lands in the CAS. Frames cut where the
+// store cuts keep their chunk files; any other input is re-chunked and
+// encoded. Re-putting content the store already holds is a no-op
+// returning the existing manifest. source labels the manifest's
+// provenance field.
 func (s *Store) Put(r io.Reader, source string) (Manifest, error) {
-	tmp, err := os.CreateTemp(s.dir, ".ingest-*")
-	if err != nil {
-		return Manifest{}, fmt.Errorf("corpus: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		tmp.Close()
-		os.Remove(tmpName)
-	}()
-
-	size, err := io.Copy(tmp, r)
-	if err != nil {
-		return Manifest{}, fmt.Errorf("corpus: reading input: %w", err)
-	}
-	ir, err := trace.OpenIndexed(tmp, size)
-	if err != nil {
-		return Manifest{}, fmt.Errorf("corpus: invalid container: %w", err)
-	}
-	ing := s.newIngester(ir.Name(), ir.ASID())
-	var b isa.Block
-	for {
-		err := ir.Read(&b)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Manifest{}, fmt.Errorf("corpus: invalid container: %w", err)
-		}
-		if err := ing.add(&b); err != nil {
-			return Manifest{}, err
-		}
-	}
-	if ing.blocks != ir.Blocks() || ing.instrs != ir.Instructions() {
-		return Manifest{}, fmt.Errorf("corpus: invalid container: index totals (%d blocks, %d instrs) disagree with content (%d, %d)",
-			ir.Blocks(), ir.Instructions(), ing.blocks, ing.instrs)
-	}
-	return ing.finish(source)
-}
-
-// Ingest decodes any readable trace (v1 stream or v2 container) and
-// stores it. Chunk geometry is content-defined, so the input's own
-// chunking does not carry over.
-func (s *Store) Ingest(r io.Reader, source string) (Manifest, error) {
 	tr, err := trace.NewReader(r)
 	if err != nil {
-		return Manifest{}, fmt.Errorf("corpus: %w", err)
+		return Manifest{}, fmt.Errorf("corpus: invalid input trace: %w", err)
 	}
 	ing := s.newIngester(tr.Name(), tr.ASID())
-	var b isa.Block
 	for {
-		err := tr.Read(&b)
+		blocks, file, err := tr.ReadFrame()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return Manifest{}, fmt.Errorf("corpus: invalid input trace: %w", err)
 		}
-		if err := ing.add(&b); err != nil {
+		if err := ing.addFrame(blocks, file); err != nil {
 			return Manifest{}, err
 		}
 	}
 	return ing.finish(source)
 }
 
-// Capture records n blocks from a live source straight into the store
-// — the generator-capture adapter.
+// Capture records n blocks from a live source into the store — the
+// generator-capture adapter.
 func (s *Store) Capture(src workload.Source, name string, asid uint64, n uint64) (Manifest, error) {
-	ing := s.newIngester(name, asid)
-	var b isa.Block
-	for i := uint64(0); i < n; i++ {
-		src.Next(&b)
-		if err := ing.add(&b); err != nil {
-			return Manifest{}, err
-		}
+	var buf bytes.Buffer
+	if err := trace.Record(&buf, name, asid, src, n); err != nil {
+		return Manifest{}, err
 	}
-	return ing.finish("capture")
+	return s.Put(&buf, "capture")
 }
 
 func fingerprintOf(p *analysis.Profile, blocks, instrs uint64) Fingerprint {
@@ -803,16 +727,12 @@ func (s *Store) recompute(man Manifest) (Manifest, error) {
 			return Manifest{}, fmt.Errorf("corpus: %s: recipe step %d: %d records, recipe claims %d",
 				man.ID, i, len(blocks), ref.Records)
 		}
-		for j := range blocks {
-			if err := ing.add(&blocks[j]); err != nil {
-				return Manifest{}, err
-			}
-		}
-	}
-	if ing.cur.Len() > 0 {
-		if err := ing.flush(); err != nil {
+		if err := ing.addFrame(blocks, file); err != nil {
 			return Manifest{}, err
 		}
+	}
+	if err := ing.seal(); err != nil {
+		return Manifest{}, err
 	}
 	if ing.blocks == 0 {
 		return Manifest{}, fmt.Errorf("corpus: %s: empty recipe", man.ID)
@@ -896,9 +816,10 @@ func (s *Store) ReplaySource(id string) (workload.Source, error) {
 }
 
 // Reader assembles the entry into an IPFTRC02 container — the
-// interchange format the HTTP download path serves. The container is
-// built from the CAS on every call; peers that ingest it arrive at
-// the same entry id.
+// interchange format the HTTP download path serves. Each frame is a
+// stored chunk file copied as it is, not decoded, so the download is
+// checked where it is ingested: peers that Put it re-derive every
+// chunk hash and arrive at the same entry id.
 func (s *Store) Reader(id string) (io.ReadCloser, int64, error) {
 	man, err := s.Get(id)
 	if err != nil {
@@ -909,15 +830,16 @@ func (s *Store) Reader(id string) (io.ReadCloser, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	for i := range man.Recipe {
-		blocks, err := (&entryTrace{s: s, man: man}).DecodeChunk(i)
-		if err != nil {
-			return nil, 0, err
+	for _, ref := range man.Recipe {
+		if !validID(ref.Hash) {
+			return nil, 0, fmt.Errorf("corpus: %s: invalid chunk hash %q", id, ref.Hash)
 		}
-		for j := range blocks {
-			if err := tw.Write(&blocks[j]); err != nil {
-				return nil, 0, err
-			}
+		file, err := os.ReadFile(s.chunkPath(ref.Hash))
+		if err != nil {
+			return nil, 0, fmt.Errorf("corpus: chunk %s: %w", ref.Hash, err)
+		}
+		if err := tw.WriteChunk(file, ref.Records, ref.Instrs); err != nil {
+			return nil, 0, err
 		}
 	}
 	if err := tw.Close(); err != nil {

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"os"
@@ -34,6 +35,18 @@ func captureWeb(t *testing.T, s *Store, seed, n uint64) Manifest {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// v1Stream encodes blocks as a legacy IPFTRC01 stream named "Web",
+// which nothing writes any more but Put still reads.
+func v1Stream(blocks []isa.Block) []byte {
+	buf := bytes.NewBufferString("IPFTRC01\x03Web\x00")
+	scratch := make([]byte, binary.MaxVarintLen64)
+	var prevNext isa.Addr
+	for i := range blocks {
+		prevNext = trace.EncodeRecord(buf, scratch, prevNext, &blocks[i])
+	}
+	return buf.Bytes()
 }
 
 // containerBytes round-trips an entry through the download path.
@@ -131,7 +144,7 @@ func TestPutDedupsIdenticalContent(t *testing.T) {
 	s := newStore(t)
 	prog := workload.MustBuildProgram(workload.Web(), 0)
 	var buf bytes.Buffer
-	if err := trace.RecordV2(&buf, "Web", 0, workload.NewGenerator(prog, 5), 1000, 0); err != nil {
+	if err := trace.Record(&buf, "Web", 0, workload.NewGenerator(prog, 5), 1000); err != nil {
 		t.Fatal(err)
 	}
 	m1, err := s.Put(bytes.NewReader(buf.Bytes()), "upload")
@@ -158,11 +171,8 @@ func TestIngestV1ConvertsToChunks(t *testing.T) {
 	s := newStore(t)
 	prog := workload.MustBuildProgram(workload.Web(), 0)
 	const n = 2000
-	var v1 bytes.Buffer
-	if err := trace.Record(&v1, "Web", 0, workload.NewGenerator(prog, 7), n); err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Ingest(bytes.NewReader(v1.Bytes()), "ingest")
+	v1 := v1Stream(genBlocks(t, workload.Web(), 7, n))
+	m, err := s.Put(bytes.NewReader(v1), "ingest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,16 +232,7 @@ func TestFailedIngestLeavesStoreClean(t *testing.T) {
 	if _, err := s.Put(strings.NewReader("not a trace at all"), "upload"); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// v1 streams are not containers; Ingest converts them, Put rejects.
-	prog := workload.MustBuildProgram(workload.Web(), 0)
-	var v1 bytes.Buffer
-	if err := trace.Record(&v1, "Web", 0, workload.NewGenerator(prog, 1), 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put(bytes.NewReader(v1.Bytes()), "upload"); err == nil {
-		t.Fatal("v1 stream accepted by Put")
-	}
-	// A truncated v2 container must be rejected too.
+	// A truncated container must be rejected.
 	data := containerBytes(t, s, good.ID)
 	if _, err := s.Put(bytes.NewReader(data[:len(data)-5]), "upload"); err == nil {
 		t.Fatal("truncated container accepted")
@@ -243,9 +244,10 @@ func TestFailedIngestLeavesStoreClean(t *testing.T) {
 	if _, err := s.Put(bytes.NewReader(bad), "upload"); err == nil {
 		t.Fatal("corrupted container accepted")
 	}
-	// Truncated v1 input through Ingest as well.
-	if _, err := s.Ingest(bytes.NewReader(v1.Bytes()[:v1.Len()-3]), "ingest"); err == nil {
-		t.Fatal("truncated v1 stream accepted by Ingest")
+	// Truncated v1 input as well.
+	v1 := v1Stream(genBlocks(t, workload.Web(), 1, 100))
+	if _, err := s.Put(bytes.NewReader(v1[:len(v1)-3]), "ingest"); err == nil {
+		t.Fatal("truncated v1 stream accepted")
 	}
 
 	after := snapshot()

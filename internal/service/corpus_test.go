@@ -32,7 +32,7 @@ func recordDB(t *testing.T, seed, n uint64) []byte {
 	t.Helper()
 	prog := workload.MustBuildProgram(workload.DB(), 0)
 	var buf bytes.Buffer
-	if err := trace.RecordV2(&buf, "DB", 0, workload.NewGenerator(prog, seed), n, 0); err != nil {
+	if err := trace.Record(&buf, "DB", 0, workload.NewGenerator(prog, seed), n); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

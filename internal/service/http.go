@@ -42,7 +42,7 @@ import (
 //	                     (results.json, results.csv, pareto.csv)
 //	GET  /v1/figures/{id} run a paper figure/ablation ("1".."10",
 //	                     "a1".."a10") and return its tables
-//	POST /v1/corpus      upload a v2 trace container (streaming,
+//	POST /v1/corpus      upload a trace container (streaming,
 //	                     size-capped); chunked into the CAS, 201 with
 //	                     the manifest, or 200 when the store already
 //	                     holds the entry (logical id)

@@ -79,8 +79,8 @@ func TestLoopRejectsGarbage(t *testing.T) {
 
 func TestLoopRejectsEmptyTrace(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "empty", 0)
-	w.Flush()
+	w, _ := NewWriterV2(&buf, "empty", 0, 0)
+	w.Close()
 	if _, err := NewLoop(buf.Bytes()); err == nil {
 		t.Fatal("empty trace accepted")
 	}

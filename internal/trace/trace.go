@@ -1,13 +1,19 @@
-// Package trace defines a compact binary format for recorded basic-block
-// streams, mirroring the paper's trace-driven methodology. The simulator
-// normally consumes workload generators directly (they are deterministic,
-// so a trace adds nothing), but traces allow capturing a stream once and
-// replaying it across many configurations, exchanging streams between
-// tools, and validating stream statistics offline with cmd/tracegen.
+// Package trace defines the binary encoding of recorded basic-block
+// streams, mirroring the paper's trace-driven methodology. The
+// simulator normally consumes workload generators directly (they are
+// deterministic, so a trace adds nothing), but traces allow capturing
+// a stream once and replaying it across many configurations,
+// exchanging streams between tools, and validating stream statistics
+// offline with cmd/tracegen.
 //
-// Format (little-endian, after an 8-byte magic):
+// A stream is encoded one way: as chunk files (chunkfile.go), cut at
+// content-defined boundaries (chunker.go). The IPFTRC02 container
+// (v2.go) frames those chunk files with CRCs and a trailing index, and
+// the corpus stores the same chunk files, so ingest and download copy
+// chunks instead of re-encoding them.
 //
-//	header:  magic "IPFTRC01" | name len varint | name bytes | asid varint
+// Every encoding is built from one block record (little-endian):
+//
 //	record:  pcDelta zigzag-varint (from previous block's NextPC)
 //	         numInstrs varint
 //	         cti byte
@@ -15,11 +21,11 @@
 //	         numMemOps varint
 //	         per memop: addrDelta zigzag-varint (from previous memop) | kind byte
 //
-// Deltas make hot-loop records 3-6 bytes each.
-//
-// A second container format, IPFTRC02 (see v2.go), wraps the same record
-// encoding in compressed, CRC-protected chunks with a trailing index for
-// O(1) seek and parallel decode. NewReader transparently accepts both.
+// Deltas make hot-loop records 3-6 bytes each. NewReader also reads two
+// legacy inputs that are no longer written: the v1 flat stream
+// ("IPFTRC01" | name len varint | name | asid varint | record*) and
+// IPFTRC02 containers whose frames hold flated record runs (frame type
+// 0x01).
 package trace
 
 import (
@@ -49,10 +55,13 @@ func putSvarint(dst *bytes.Buffer, scratch []byte, v int64) {
 	dst.Write(scratch[:binary.PutVarint(scratch, v)])
 }
 
-// encodeRecord appends one block record to dst using prevNext as the
-// delta base, returning the new base (the block's NextPC). Both the v1
-// stream and v2 chunk payloads are sequences of these records.
-func encodeRecord(dst *bytes.Buffer, scratch []byte, prevNext isa.Addr, b *isa.Block) isa.Addr {
+// EncodeRecord appends one block record to dst using prevNext as the
+// delta base and returns the new base (the block's NextPC). scratch
+// must be at least binary.MaxVarintLen64 bytes. Encoding a stream of
+// blocks with a running base gives the canonical record stream the
+// corpus derives entry ids from; encoding with base 0 gives a
+// self-based record that decodes without outside context.
+func EncodeRecord(dst *bytes.Buffer, scratch []byte, prevNext isa.Addr, b *isa.Block) isa.Addr {
 	putSvarint(dst, scratch, int64(b.PC)-int64(prevNext))
 	putUvarint(dst, scratch, uint64(b.NumInstrs))
 	dst.WriteByte(byte(b.CTI))
@@ -70,7 +79,7 @@ func encodeRecord(dst *bytes.Buffer, scratch []byte, prevNext isa.Addr, b *isa.B
 }
 
 // recordReader is what the record decoder needs from its input; both
-// bufio.Reader (v1 streams) and bytes.Reader (v2 chunk payloads)
+// bufio.Reader (v1 streams) and bytes.Reader (decoded payloads)
 // satisfy it.
 type recordReader interface {
 	io.Reader
@@ -151,59 +160,9 @@ func readRecord(r recordReader, prevNext *isa.Addr, blockIdx uint64, b *isa.Bloc
 	return nil
 }
 
-// Writer encodes a block stream.
-type Writer struct {
-	w        *bufio.Writer
-	prevNext isa.Addr
-	buf      []byte
-	recBuf   bytes.Buffer
-	blocks   uint64
-}
-
-// NewWriter writes a trace header for the given workload name and
-// address-space id, returning the writer.
-func NewWriter(w io.Writer, name string, asid uint64) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(magic); err != nil {
-		return nil, err
-	}
-	tw := &Writer{w: bw, buf: make([]byte, binary.MaxVarintLen64)}
-	tw.uvarint(uint64(len(name)))
-	if _, err := bw.WriteString(name); err != nil {
-		return nil, err
-	}
-	tw.uvarint(asid)
-	return tw, nil
-}
-
-func (t *Writer) uvarint(v uint64) {
-	n := binary.PutUvarint(t.buf, v)
-	t.w.Write(t.buf[:n])
-}
-
-// Write appends one block to the trace.
-func (t *Writer) Write(b *isa.Block) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	t.recBuf.Reset()
-	t.prevNext = encodeRecord(&t.recBuf, t.buf, t.prevNext, b)
-	if _, err := t.w.Write(t.recBuf.Bytes()); err != nil {
-		return err
-	}
-	t.blocks++
-	return nil
-}
-
-// Blocks returns the number of blocks written.
-func (t *Writer) Blocks() uint64 { return t.blocks }
-
-// Flush flushes buffered output; call it before closing the underlying
-// writer.
-func (t *Writer) Flush() error { return t.w.Flush() }
-
-// countingReader tracks how many bytes have been consumed, so the v2
-// decode path can cross-check frame offsets against the chunk index.
+// countingReader tracks how many bytes have been consumed, so the
+// container decode path can cross-check frame offsets against the
+// chunk index.
 type countingReader struct {
 	r *bufio.Reader
 	n int64
@@ -223,27 +182,22 @@ func (c *countingReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// Reader decodes a block stream in either container format: the v1
-// flat stream or the v2 chunked container (decoded strictly, with every
-// chunk CRC and count verified as it streams past).
+// Reader decodes a block stream: an IPFTRC02 container (decoded
+// strictly, with every frame CRC and count and the index verified as
+// they stream past) or a legacy v1 flat stream.
 type Reader struct {
 	r        *countingReader
 	format   string
 	name     string
 	asid     uint64
-	prevNext isa.Addr
+	prevNext isa.Addr // v1 delta base
 	blocks   uint64
 
-	// v2 streaming state (see v2.go).
-	chunk       int
-	remRecs     uint64
-	chunkInstrs uint64
-	wantInstrs  uint64
-	cur         bytes.Reader
-	rawBuf      []byte
-	compBuf     []byte
-	seen        []ChunkInfo
-	done        bool
+	// Container state (see v2.go): the current frame's blocks.
+	cur  []isa.Block
+	pos  int
+	seen []ChunkInfo
+	done bool
 }
 
 // NewReader validates the header and returns a reader positioned at the
@@ -288,31 +242,74 @@ func (t *Reader) Format() string { return t.format }
 // Blocks returns the number of blocks read so far.
 func (t *Reader) Blocks() uint64 { return t.blocks }
 
-// Chunks returns the chunk descriptors seen so far (v2 containers
-// only; empty for v1). Complete once Read has returned io.EOF.
+// Chunks returns the chunk descriptors seen so far (containers only;
+// empty for v1). Complete once Read has returned io.EOF.
 func (t *Reader) Chunks() []ChunkInfo { return append([]ChunkInfo(nil), t.seen...) }
 
 // Read decodes the next block into *b (reusing MemOps capacity). It
 // returns io.EOF at a clean end of stream and io.ErrUnexpectedEOF
-// (wrapped, with the offending chunk named for v2) when the input is
-// cut mid-record or mid-container.
+// (wrapped, with the offending chunk named for containers) when the
+// input is cut mid-record or mid-container.
 func (t *Reader) Read(b *isa.Block) error {
-	if t.format == magicV2 {
-		return t.readV2(b)
+	if t.format == magic {
+		err := readRecord(t.r, &t.prevNext, t.blocks, b)
+		switch {
+		case err == nil:
+			t.blocks++
+			return nil
+		case err == io.EOF:
+			return io.EOF
+		default:
+			return fmt.Errorf("trace: %w", err)
+		}
 	}
-	err := readRecord(t.r, &t.prevNext, t.blocks, b)
-	switch {
-	case err == nil:
-		t.blocks++
-		return nil
-	case err == io.EOF:
-		return io.EOF
-	default:
-		return fmt.Errorf("trace: %w", err)
+	for t.pos >= len(t.cur) {
+		blocks, _, err := t.nextFrame()
+		if err != nil {
+			return err
+		}
+		t.cur, t.pos = blocks, 0
 	}
+	src := &t.cur[t.pos]
+	t.pos++
+	t.blocks++
+	b.PC, b.NumInstrs, b.CTI, b.Target = src.PC, src.NumInstrs, src.CTI, src.Target
+	b.MemOps = append(b.MemOps[:0], src.MemOps...)
+	return nil
 }
 
-// Record captures n blocks from src into w.
+// v1Batch is how many records ReadFrame returns at a time from a v1
+// stream, which has no frames of its own.
+const v1Batch = 4096
+
+// ReadFrame decodes the next frame whole. It returns the frame's blocks
+// and, for a chunk-file frame, the chunk file verbatim; the file is nil
+// for legacy frames, and a v1 stream comes in batches of up to 4096
+// blocks. It returns io.EOF after the last frame. Do not mix ReadFrame
+// with Read on one Reader.
+func (t *Reader) ReadFrame() ([]isa.Block, []byte, error) {
+	if t.format == magic {
+		var out []isa.Block
+		for len(out) < v1Batch {
+			var b isa.Block
+			if err := t.Read(&b); err == io.EOF {
+				break
+			} else if err != nil {
+				return nil, nil, err
+			}
+			out = append(out, b)
+		}
+		if len(out) == 0 {
+			return nil, nil, io.EOF
+		}
+		return out, nil, nil
+	}
+	blocks, file, err := t.nextFrame()
+	t.blocks += uint64(len(blocks))
+	return blocks, file, err
+}
+
+// Record captures n blocks from src into w as an IPFTRC02 container.
 func Record(w io.Writer, name string, asid uint64, src interface{ Next(*isa.Block) }, n uint64) error {
 	return RecordContext(context.Background(), w, name, asid, src, n)
 }
@@ -324,10 +321,10 @@ const ctxPollBlocks = 8192
 
 // RecordContext is Record with cooperative cancellation: the capture
 // loop polls ctx every few thousand blocks and stops mid-stream with
-// ctx's error. The written prefix is a valid trace of the blocks
-// captured so far.
+// ctx's error. The container is still finalised (index and footer), so
+// the output is a valid, shorter trace of the blocks captured so far.
 func RecordContext(ctx context.Context, w io.Writer, name string, asid uint64, src interface{ Next(*isa.Block) }, n uint64) error {
-	tw, err := NewWriter(w, name, asid)
+	tw, err := NewWriterV2(w, name, asid, 0)
 	if err != nil {
 		return err
 	}
@@ -335,7 +332,7 @@ func RecordContext(ctx context.Context, w io.Writer, name string, asid uint64, s
 	for i := uint64(0); i < n; i++ {
 		if i%ctxPollBlocks == 0 {
 			if err := ctx.Err(); err != nil {
-				tw.Flush()
+				tw.Close()
 				return err
 			}
 		}
@@ -344,5 +341,5 @@ func RecordContext(ctx context.Context, w io.Writer, name string, asid uint64, s
 			return err
 		}
 	}
-	return tw.Flush()
+	return tw.Close()
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"sync/atomic"
@@ -25,54 +26,74 @@ func sampleBlocks() []isa.Block {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
+// v1Header returns the header of a legacy IPFTRC01 stream.
+func v1Header(name string, asid uint64) []byte {
+	out := []byte(magic)
+	out = binary.AppendUvarint(out, uint64(len(name)))
+	out = append(out, name...)
+	return binary.AppendUvarint(out, asid)
+}
+
+// v1Bytes encodes blocks as a legacy IPFTRC01 stream: the header, then
+// each record delta-based on the previous block's NextPC. Nothing
+// writes v1 any more; the tests need it to keep reading it.
+func v1Bytes(name string, asid uint64, blocks []isa.Block) []byte {
+	buf := bytes.NewBuffer(v1Header(name, asid))
+	scratch := make([]byte, binary.MaxVarintLen64)
+	var prevNext isa.Addr
+	for i := range blocks {
+		prevNext = EncodeRecord(buf, scratch, prevNext, &blocks[i])
+	}
+	return buf.Bytes()
+}
+
+// containerOf writes blocks as a container.
+func containerOf(t testing.TB, name string, asid uint64, blocks []isa.Block) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "unit", 7)
+	w, err := NewWriterV2(&buf, name, asid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := sampleBlocks()
-	for i := range in {
-		if err := w.Write(&in[i]); err != nil {
+	for i := range blocks {
+		if err := w.Write(&blocks[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if w.Blocks() != uint64(len(in)) {
-		t.Fatalf("writer blocks = %d", w.Blocks())
-	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
 
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Name() != "unit" || r.ASID() != 7 {
-		t.Fatalf("header = %q/%d", r.Name(), r.ASID())
-	}
-	var b isa.Block
-	for i := range in {
-		if err := r.Read(&b); err != nil {
-			t.Fatalf("block %d: %v", i, err)
+func TestRoundTrip(t *testing.T) {
+	in := sampleBlocks()
+	for _, tc := range []struct {
+		format string
+		data   []byte
+	}{
+		{magicV2, containerOf(t, "unit", 7, in)},
+		{magic, v1Bytes("unit", 7, in)},
+	} {
+		r, err := NewReader(bytes.NewReader(tc.data))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if b.PC != in[i].PC || b.NumInstrs != in[i].NumInstrs || b.CTI != in[i].CTI {
-			t.Fatalf("block %d mismatch: got %+v want %+v", i, b, in[i])
+		if r.Name() != "unit" || r.ASID() != 7 || r.Format() != tc.format {
+			t.Fatalf("header = %q/%d/%s", r.Name(), r.ASID(), r.Format())
 		}
-		if in[i].CTI.ChangesFlow() && b.Target != in[i].Target {
-			t.Fatalf("block %d target %#x want %#x", i, uint64(b.Target), uint64(in[i].Target))
-		}
-		if len(b.MemOps) != len(in[i].MemOps) {
-			t.Fatalf("block %d memops %d want %d", i, len(b.MemOps), len(in[i].MemOps))
-		}
-		for j := range b.MemOps {
-			if b.MemOps[j] != in[i].MemOps[j] {
-				t.Fatalf("block %d memop %d mismatch", i, j)
+		var b isa.Block
+		for i := range in {
+			if err := r.Read(&b); err != nil {
+				t.Fatalf("%s block %d: %v", tc.format, i, err)
+			}
+			if !blocksEqual(&b, &in[i]) {
+				t.Fatalf("%s block %d mismatch: got %+v want %+v", tc.format, i, b, in[i])
 			}
 		}
-	}
-	if err := r.Read(&b); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
+		if err := r.Read(&b); err != io.EOF {
+			t.Fatalf("%s: expected EOF, got %v", tc.format, err)
+		}
 	}
 }
 
@@ -100,14 +121,8 @@ func TestGeneratorRoundTrip(t *testing.T) {
 		if err := r.Read(&got); err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
-		if got.PC != want.PC || got.CTI != want.CTI || got.NumInstrs != want.NumInstrs {
+		if !blocksEqual(&got, &want) {
 			t.Fatalf("block %d mismatch", i)
-		}
-		if got.CTI.ChangesFlow() && got.Target != want.Target {
-			t.Fatalf("block %d target mismatch", i)
-		}
-		if len(got.MemOps) != len(want.MemOps) {
-			t.Fatalf("block %d memop count mismatch", i)
 		}
 	}
 	if r.Blocks() != n {
@@ -130,12 +145,7 @@ func TestTruncatedHeader(t *testing.T) {
 }
 
 func TestTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "x", 0)
-	b := sampleBlocks()[1]
-	w.Write(&b)
-	w.Flush()
-	raw := buf.Bytes()
+	raw := v1Bytes("x", 0, sampleBlocks()[1:2])
 	// Chop mid-record (keep header + a few bytes).
 	r, err := NewReader(bytes.NewReader(raw[:len(raw)-3]))
 	if err != nil {
@@ -150,14 +160,12 @@ func TestTruncatedRecord(t *testing.T) {
 }
 
 func TestInvalidCTIRejected(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "x", 0)
-	w.Flush()
 	// Hand-craft a record with CTI byte 0xEE.
+	buf := bytes.NewBuffer(v1Header("x", 0))
 	buf.WriteByte(0x00) // pcDelta 0
 	buf.WriteByte(0x04) // numInstrs 4
 	buf.WriteByte(0xEE) // bad CTI
-	r, err := NewReader(&buf)
+	r, err := NewReader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +176,7 @@ func TestInvalidCTIRejected(t *testing.T) {
 }
 
 func TestWriterRejectsInvalidBlock(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "x", 0)
+	w, _ := NewWriterV2(io.Discard, "x", 0, 0)
 	bad := isa.Block{PC: 0x100, NumInstrs: 0, CTI: isa.CTINone}
 	if err := w.Write(&bad); err == nil {
 		t.Fatal("invalid block accepted")
@@ -177,24 +184,18 @@ func TestWriterRejectsInvalidBlock(t *testing.T) {
 }
 
 func TestMemOpsBufferReuse(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "x", 0)
 	blocks := sampleBlocks()
-	for i := range blocks {
-		w.Write(&blocks[i])
-	}
-	w.Flush()
-	r, _ := NewReader(&buf)
-	var b isa.Block
-	b.MemOps = make([]isa.MemOp, 0, 64)
-	backing := &b.MemOps[:1][0] // capture backing array identity via first slot
-	_ = backing
-	for i := 0; i < len(blocks); i++ {
-		if err := r.Read(&b); err != nil {
-			t.Fatal(err)
-		}
-		if cap(b.MemOps) < 64 {
-			t.Fatal("reader reallocated the memops buffer")
+	for _, data := range [][]byte{containerOf(t, "x", 0, blocks), v1Bytes("x", 0, blocks)} {
+		r, _ := NewReader(bytes.NewReader(data))
+		var b isa.Block
+		b.MemOps = make([]isa.MemOp, 0, 64)
+		for i := 0; i < len(blocks); i++ {
+			if err := r.Read(&b); err != nil {
+				t.Fatal(err)
+			}
+			if cap(b.MemOps) < 64 {
+				t.Fatal("reader reallocated the memops buffer")
+			}
 		}
 	}
 }
@@ -203,7 +204,10 @@ func BenchmarkWrite(b *testing.B) {
 	prog := workload.MustBuildProgram(workload.DB(), 0)
 	g := workload.NewGenerator(prog, 1)
 	var blk isa.Block
-	w, _ := NewWriter(io.Discard, "DB", 0)
+	w, err := NewWriterV2(io.Discard, "DB", 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next(&blk)
@@ -248,10 +252,14 @@ func TestRecordContextCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RecordContext = %v, want context.Canceled", err)
 	}
-	// The flushed prefix must still be a readable trace (header only
-	// here, since cancellation landed before the first block).
-	if _, err := NewReader(&buf); err != nil {
-		t.Fatalf("interrupted trace unreadable: %v", err)
+	// Cancellation still finalises the container: index + footer
+	// present, zero blocks (the poll fired before the first record).
+	blocks, err := drainV2(buf.Bytes())
+	if err != io.EOF {
+		t.Fatalf("interrupted container unreadable: %v", err)
+	}
+	if len(blocks) != 0 {
+		t.Fatalf("interrupted container holds %d blocks, want 0", len(blocks))
 	}
 }
 
@@ -270,22 +278,11 @@ func TestRecordContextPartialPrefixIsValid(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("RecordContext = %v, want context.Canceled", err)
 	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
+	blocks, err := drainV2(buf.Bytes())
+	if err != io.EOF {
+		t.Fatalf("partial trace corrupt at block %d: %v", len(blocks), err)
 	}
-	var b isa.Block
-	n := 0
-	for {
-		if err := r.Read(&b); err != nil {
-			if err == io.EOF {
-				break
-			}
-			t.Fatalf("partial trace corrupt at block %d: %v", n, err)
-		}
-		n++
-	}
-	if n == 0 {
+	if len(blocks) == 0 {
 		t.Fatal("partial trace recorded no blocks")
 	}
 }

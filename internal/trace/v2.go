@@ -1,51 +1,54 @@
 package trace
 
-// The IPFTRC02 container wraps the v1 record encoding in framed chunks
-// so large corpora are compact, verifiable, and decodable in parallel:
+// The IPFTRC02 container frames chunk files so a stream is compact,
+// verifiable and cut where the corpus cuts it:
 //
-//	container: header | chunk* | index | footer
+//	container: header | frame* | index | footer
 //	header:    magic "IPFTRC02" | name len varint | name | asid varint
-//	chunk:     0x01 | startNext varint | records varint | instrs varint
-//	           | rawLen varint | compLen varint | crc32(payload) u32le
-//	           | payload (flate of `records` v1-style records, deltas
-//	              seeded from startNext so chunks decode independently)
-//	index:     0x00 | numChunks varint | per chunk:
+//	frame:     0x02 | records varint | instrs varint | fileLen varint
+//	           | crc32(file) u32le | file (one chunk file, see chunkfile.go)
+//	index:     0x00 | numChunks varint | per frame:
 //	           offset varint | records varint | instrs varint
-//	           | startNext varint | compLen varint
+//	           | startNext varint | fileLen varint
 //	footer:    index offset u64le | crc32(index) u32le | "IPFTEND2"
 //
-// The trailing index plus fixed-size footer give O(1) seek-to-chunk via
-// IndexedReader; per-chunk CRCs catch corruption chunk-by-chunk; and a
-// container cut anywhere before the footer is detected as truncation
+// WriterV2 cuts frames at content-defined boundaries, so every frame is
+// a chunk the corpus stores as it is. Per-frame CRCs catch corruption
+// frame by frame, the index cross-checks the frames, and a container
+// cut anywhere before the footer is detected as truncation
 // (io.ErrUnexpectedEOF), never silently read as a shorter trace.
+//
+// Legacy containers hold frames of type 0x01 instead, still read:
+//
+//	0x01 | startNext varint | records varint | instrs varint | rawLen varint
+//	     | compLen varint | crc32(payload) u32le
+//	     | payload (flate of `records` records, deltas seeded from startNext)
+//
+// Their index entries carry startNext and compLen; for 0x02 frames
+// startNext is 0 (chunk files are self-based) and the last field is
+// the chunk file's length.
 
 import (
-	"bufio"
 	"bytes"
-	"compress/flate"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"repro/internal/isa"
 )
 
 const (
-	magicV2    = "IPFTRC02"
-	footMagic  = "IPFTEND2"
-	frameChunk = 0x01
-	frameIndex = 0x00
+	magicV2      = "IPFTRC02"
+	footMagic    = "IPFTEND2"
+	frameIndex   = 0x00
+	frameRecords = 0x01 // legacy: flated record run
+	frameChunk   = 0x02 // one chunk file
 
 	// footerSize is the fixed tail: index offset, index CRC, end magic.
 	footerSize = 8 + 4 + 8
-
-	// DefaultChunkRecords is the records-per-chunk used when callers
-	// pass 0: big enough to compress well, small enough that a sharded
-	// decode has parallelism on even short traces.
-	DefaultChunkRecords = 4096
 
 	maxChunkRecords = 1 << 22
 	maxChunkBytes   = 1 << 28
@@ -58,15 +61,15 @@ var ErrCorrupt = errors.New("corrupt container")
 
 // ChunkInfo is one chunk-index entry.
 type ChunkInfo struct {
-	// Offset is the absolute container offset of the chunk frame.
+	// Offset is the absolute container offset of the frame.
 	Offset int64
 	// Records and Instrs count the blocks and instructions within.
 	Records uint64
 	Instrs  uint64
-	// StartNext is the delta base: the NextPC of the last block before
-	// this chunk (0 for the first), letting the chunk decode alone.
+	// StartNext is a legacy frame's delta base: the NextPC of the last
+	// block before it. Chunk-file frames are self-based and carry 0.
 	StartNext isa.Addr
-	// CompLen is the compressed payload length in bytes.
+	// CompLen is the frame's payload length in bytes.
 	CompLen int
 }
 
@@ -74,35 +77,20 @@ type ChunkInfo struct {
 // mandatory: it flushes the final partial chunk and writes the index
 // and footer, without which the container is (detectably) truncated.
 type WriterV2 struct {
-	w            io.Writer
-	off          int64
-	chunkRecords int
-
-	prevNext  isa.Addr
-	chunkBase isa.Addr
-	recBuf    bytes.Buffer
-	scratch   []byte
-
-	recs      uint64
-	instrs    uint64
-	blocks    uint64
-	totInstrs uint64
-	index     []ChunkInfo
-
-	comp    *flate.Writer
-	compBuf bytes.Buffer
+	w       io.Writer
+	off     int64
+	chunk   *ChunkBuilder
+	scratch []byte
+	index   []ChunkInfo
 	closed  bool
 }
 
 // NewWriterV2 writes the container header for the given workload name
-// and address-space id. chunkRecords is the number of blocks per chunk
-// (0 = DefaultChunkRecords).
+// and address-space id. Frames are cut at content-defined boundaries,
+// so chunkRecords must be 0.
 func NewWriterV2(w io.Writer, name string, asid uint64, chunkRecords int) (*WriterV2, error) {
-	if chunkRecords <= 0 {
-		chunkRecords = DefaultChunkRecords
-	}
-	if chunkRecords > maxChunkRecords {
-		return nil, fmt.Errorf("trace: chunk size %d exceeds limit %d", chunkRecords, maxChunkRecords)
+	if chunkRecords != 0 {
+		return nil, fmt.Errorf("trace: chunkRecords %d: chunks are cut at content-defined boundaries, pass 0", chunkRecords)
 	}
 	scratch := make([]byte, binary.MaxVarintLen64)
 	var hdr bytes.Buffer
@@ -113,17 +101,7 @@ func NewWriterV2(w io.Writer, name string, asid uint64, chunkRecords int) (*Writ
 	if _, err := w.Write(hdr.Bytes()); err != nil {
 		return nil, err
 	}
-	comp, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	return &WriterV2{
-		w:            w,
-		off:          int64(hdr.Len()),
-		chunkRecords: chunkRecords,
-		scratch:      scratch,
-		comp:         comp,
-	}, nil
+	return &WriterV2{w: w, off: int64(hdr.Len()), chunk: NewChunkBuilder(), scratch: scratch}, nil
 }
 
 // Write appends one block.
@@ -134,64 +112,56 @@ func (t *WriterV2) Write(b *isa.Block) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	t.prevNext = encodeRecord(&t.recBuf, t.scratch, t.prevNext, b)
-	t.recs++
-	t.instrs += uint64(b.NumInstrs)
-	t.blocks++
-	t.totInstrs += uint64(b.NumInstrs)
-	if t.recs >= uint64(t.chunkRecords) {
+	if t.chunk.Add(b) {
 		return t.flushChunk()
 	}
 	return nil
 }
 
-// Blocks returns the number of blocks written.
-func (t *WriterV2) Blocks() uint64 { return t.blocks }
+// WriteChunk appends one chunk file verbatim as a frame holding records
+// blocks and instrs instructions, after any blocks buffered by Write.
+// The caller vouches for the counts; readers check them.
+func (t *WriterV2) WriteChunk(file []byte, records, instrs uint64) error {
+	if t.closed {
+		return errors.New("trace: write after Close")
+	}
+	if err := t.flushChunk(); err != nil {
+		return err
+	}
+	return t.writeFrame(file, records, instrs)
+}
 
-// Instructions returns the number of instructions written.
-func (t *WriterV2) Instructions() uint64 { return t.totInstrs }
-
-// flushChunk compresses and frames the buffered records.
+// flushChunk encodes and frames the buffered blocks.
 func (t *WriterV2) flushChunk() error {
-	if t.recs == 0 {
+	if t.chunk.Records() == 0 {
 		return nil
 	}
-	t.compBuf.Reset()
-	t.comp.Reset(&t.compBuf)
-	if _, err := t.comp.Write(t.recBuf.Bytes()); err != nil {
+	file, err := t.chunk.Encode(nil)
+	if err != nil {
 		return err
 	}
-	if err := t.comp.Close(); err != nil {
-		return err
-	}
-	comp := t.compBuf.Bytes()
+	err = t.writeFrame(file, uint64(t.chunk.Records()), t.chunk.Instrs())
+	t.chunk.Reset()
+	return err
+}
+
+func (t *WriterV2) writeFrame(file []byte, records, instrs uint64) error {
 	var hdr bytes.Buffer
 	hdr.WriteByte(frameChunk)
-	putUvarint(&hdr, t.scratch, uint64(t.chunkBase))
-	putUvarint(&hdr, t.scratch, t.recs)
-	putUvarint(&hdr, t.scratch, t.instrs)
-	putUvarint(&hdr, t.scratch, uint64(t.recBuf.Len()))
-	putUvarint(&hdr, t.scratch, uint64(len(comp)))
+	putUvarint(&hdr, t.scratch, records)
+	putUvarint(&hdr, t.scratch, instrs)
+	putUvarint(&hdr, t.scratch, uint64(len(file)))
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(comp))
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(file))
 	hdr.Write(crc[:])
 	if _, err := t.w.Write(hdr.Bytes()); err != nil {
 		return err
 	}
-	if _, err := t.w.Write(comp); err != nil {
+	if _, err := t.w.Write(file); err != nil {
 		return err
 	}
-	t.index = append(t.index, ChunkInfo{
-		Offset:    t.off,
-		Records:   t.recs,
-		Instrs:    t.instrs,
-		StartNext: t.chunkBase,
-		CompLen:   len(comp),
-	})
-	t.off += int64(hdr.Len()) + int64(len(comp))
-	t.recBuf.Reset()
-	t.recs, t.instrs = 0, 0
-	t.chunkBase = t.prevNext
+	t.index = append(t.index, ChunkInfo{Offset: t.off, Records: records, Instrs: instrs, CompLen: len(file)})
+	t.off += int64(hdr.Len()) + int64(len(file))
 	return nil
 }
 
@@ -225,59 +195,6 @@ func (t *WriterV2) Close() error {
 	return err
 }
 
-// RecordV2 captures n blocks from src into w as an IPFTRC02 container.
-func RecordV2(w io.Writer, name string, asid uint64, src interface{ Next(*isa.Block) }, n uint64, chunkRecords int) error {
-	return RecordV2Context(context.Background(), w, name, asid, src, n, chunkRecords)
-}
-
-// RecordV2Context is RecordV2 with cooperative cancellation. On
-// cancellation the container is still finalised (index + footer), so
-// the output is a valid, shorter trace of the blocks captured so far.
-func RecordV2Context(ctx context.Context, w io.Writer, name string, asid uint64, src interface{ Next(*isa.Block) }, n uint64, chunkRecords int) error {
-	tw, err := NewWriterV2(w, name, asid, chunkRecords)
-	if err != nil {
-		return err
-	}
-	var b isa.Block
-	for i := uint64(0); i < n; i++ {
-		if i%ctxPollBlocks == 0 {
-			if err := ctx.Err(); err != nil {
-				tw.Close()
-				return err
-			}
-		}
-		src.Next(&b)
-		if err := tw.Write(&b); err != nil {
-			return err
-		}
-	}
-	return tw.Close()
-}
-
-// inflate decompresses comp into a buffer of exactly rawLen bytes
-// (reusing dst's capacity), rejecting payloads that are shorter or
-// longer than declared.
-func inflate(comp []byte, rawLen int, dst []byte) ([]byte, error) {
-	if cap(dst) < rawLen {
-		dst = make([]byte, rawLen)
-	} else {
-		dst = dst[:rawLen]
-	}
-	fr := flate.NewReader(bytes.NewReader(comp))
-	defer fr.Close()
-	if _, err := io.ReadFull(fr, dst); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return dst, fmt.Errorf("payload shorter than declared %d bytes: %w", rawLen, ErrCorrupt)
-		}
-		return dst, fmt.Errorf("decompress: %w", err)
-	}
-	var one [1]byte
-	if n, err := fr.Read(one[:]); n != 0 || err != io.EOF {
-		return dst, fmt.Errorf("payload longer than declared %d bytes: %w", rawLen, ErrCorrupt)
-	}
-	return dst, nil
-}
-
 // crcReader tees everything read through it into a running CRC32, so
 // the streaming reader can checksum the index as it parses it.
 type crcReader struct {
@@ -299,130 +216,140 @@ func (c *crcReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// readV2 is Read for v2 containers: it streams chunk frames, verifying
-// each CRC and count inline, and finishes by checking the index and
-// footer so a truncated container can never end in a clean io.EOF.
-func (t *Reader) readV2(b *isa.Block) error {
-	for t.remRecs == 0 {
-		if t.done {
-			return io.EOF
-		}
-		if err := t.nextFrame(); err != nil {
-			return err
-		}
+// nextFrame decodes the next frame whole or, at the index frame,
+// verifies the container tail and returns io.EOF.
+func (t *Reader) nextFrame() ([]isa.Block, []byte, error) {
+	if t.done {
+		return nil, nil, io.EOF
 	}
-	if err := readRecord(&t.cur, &t.prevNext, t.blocks, b); err != nil {
-		if err == io.EOF {
-			err = fmt.Errorf("block %d truncated: %w", t.blocks, io.ErrUnexpectedEOF)
-		}
-		return fmt.Errorf("trace: chunk %d: %w", t.chunk, err)
-	}
-	t.remRecs--
-	t.blocks++
-	t.chunkInstrs += uint64(b.NumInstrs)
-	if t.remRecs == 0 {
-		if t.cur.Len() != 0 {
-			return fmt.Errorf("trace: chunk %d: %d trailing payload bytes: %w", t.chunk, t.cur.Len(), ErrCorrupt)
-		}
-		if t.chunkInstrs != t.wantInstrs {
-			return fmt.Errorf("trace: chunk %d: instruction count mismatch (header %d, decoded %d): %w",
-				t.chunk, t.wantInstrs, t.chunkInstrs, ErrCorrupt)
-		}
-	}
-	return nil
-}
-
-// nextFrame advances to the next chunk or, at the index frame,
-// verifies the container tail and marks the stream done.
-func (t *Reader) nextFrame() error {
 	frameOff := t.r.n
 	typ, err := t.r.ReadByte()
 	if err != nil {
 		if err == io.EOF {
-			return fmt.Errorf("trace: container truncated before chunk index (%d chunks read): %w",
+			return nil, nil, fmt.Errorf("trace: container truncated before chunk index (%d chunks read): %w",
 				len(t.seen), io.ErrUnexpectedEOF)
 		}
-		return fmt.Errorf("trace: reading frame: %w", err)
+		return nil, nil, fmt.Errorf("trace: reading frame: %w", err)
 	}
 	switch typ {
-	case frameChunk:
-		return t.readChunkFrame(frameOff)
+	case frameChunk, frameRecords:
+		return t.readFrame(typ, frameOff)
 	case frameIndex:
 		if err := t.readIndexAndFooter(frameOff); err != nil {
-			return err
+			return nil, nil, err
 		}
 		t.done = true
-		return nil
+		return nil, nil, io.EOF
 	default:
-		return fmt.Errorf("trace: unknown frame type 0x%02x at offset %d: %w", typ, frameOff, ErrCorrupt)
+		return nil, nil, fmt.Errorf("trace: unknown frame type 0x%02x at offset %d: %w", typ, frameOff, ErrCorrupt)
 	}
 }
 
-// readChunkFrame parses, checks and decompresses one chunk frame.
-func (t *Reader) readChunkFrame(off int64) error {
+// readFrame parses, checks and decodes one chunk-file or legacy frame.
+func (t *Reader) readFrame(typ byte, off int64) ([]isa.Block, []byte, error) {
 	i := len(t.seen)
-	fail := func(err error) error {
+	fail := func(err error) ([]isa.Block, []byte, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return fmt.Errorf("trace: chunk %d truncated: %w", i, err)
+		return nil, nil, fmt.Errorf("trace: chunk %d truncated: %w", i, err)
+	}
+	nFields := 3 // records, instrs, fileLen
+	if typ == frameRecords {
+		nFields = 5 // startNext, records, instrs, rawLen, compLen
 	}
 	var fields [5]uint64
-	for f := range fields {
+	for f := 0; f < nFields; f++ {
 		v, err := binary.ReadUvarint(t.r)
 		if err != nil {
 			return fail(err)
 		}
 		fields[f] = v
 	}
-	base, recs, instrs, rawLen, compLen := fields[0], fields[1], fields[2], fields[3], fields[4]
-	if recs == 0 || recs > maxChunkRecords {
-		return fmt.Errorf("trace: chunk %d: implausible record count %d: %w", i, recs, ErrCorrupt)
+	var base, recs, instrs, rawLen, payLen uint64
+	if typ == frameRecords {
+		base, recs, instrs, rawLen, payLen = fields[0], fields[1], fields[2], fields[3], fields[4]
+		if rawLen == 0 || rawLen > maxChunkBytes {
+			return nil, nil, fmt.Errorf("trace: chunk %d: implausible raw size %d: %w", i, rawLen, ErrCorrupt)
+		}
+	} else {
+		recs, instrs, payLen = fields[0], fields[1], fields[2]
 	}
-	if rawLen == 0 || rawLen > maxChunkBytes || compLen == 0 || compLen > maxChunkBytes {
-		return fmt.Errorf("trace: chunk %d: implausible payload size (raw %d, compressed %d): %w",
-			i, rawLen, compLen, ErrCorrupt)
+	if recs == 0 || recs > maxChunkRecords {
+		return nil, nil, fmt.Errorf("trace: chunk %d: implausible record count %d: %w", i, recs, ErrCorrupt)
+	}
+	if payLen == 0 || payLen > maxChunkBytes {
+		return nil, nil, fmt.Errorf("trace: chunk %d: implausible payload size %d: %w", i, payLen, ErrCorrupt)
 	}
 	var crcb [4]byte
 	if _, err := io.ReadFull(t.r, crcb[:]); err != nil {
 		return fail(err)
 	}
-	want := binary.LittleEndian.Uint32(crcb[:])
-	if cap(t.compBuf) < int(compLen) {
-		t.compBuf = make([]byte, compLen)
-	} else {
-		t.compBuf = t.compBuf[:compLen]
-	}
-	if _, err := io.ReadFull(t.r, t.compBuf); err != nil {
+	payload, err := readPayload(t.r, int(payLen))
+	if err != nil {
 		return fail(err)
 	}
-	if got := crc32.ChecksumIEEE(t.compBuf); got != want {
-		return fmt.Errorf("trace: chunk %d: checksum mismatch (stored %08x, computed %08x): %w",
+	want := binary.LittleEndian.Uint32(crcb[:])
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return nil, nil, fmt.Errorf("trace: chunk %d: checksum mismatch (stored %08x, computed %08x): %w",
 			i, want, got, ErrCorrupt)
 	}
-	raw, err := inflate(t.compBuf, int(rawLen), t.rawBuf)
-	t.rawBuf = raw
-	if err != nil {
-		return fmt.Errorf("trace: chunk %d: %w", i, err)
+	var blocks []isa.Block
+	file := payload
+	if typ == frameRecords {
+		file = nil
+		var raw []byte
+		if raw, err = inflate(payload, int(rawLen), nil); err == nil {
+			blocks, err = decodeRecords(raw, isa.Addr(base))
+		}
+	} else {
+		blocks, _, err = DecodeChunkFile(payload)
 	}
-	t.cur.Reset(raw)
-	t.remRecs = recs
-	t.wantInstrs = instrs
-	t.chunkInstrs = 0
-	t.prevNext = isa.Addr(base)
-	t.chunk = i
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace: chunk %d: %w", i, err)
+	}
+	if uint64(len(blocks)) != recs {
+		return nil, nil, fmt.Errorf("trace: chunk %d: record count mismatch (header %d, decoded %d): %w",
+			i, recs, len(blocks), ErrCorrupt)
+	}
+	var sum uint64
+	for j := range blocks {
+		sum += uint64(blocks[j].NumInstrs)
+	}
+	if sum != instrs {
+		return nil, nil, fmt.Errorf("trace: chunk %d: instruction count mismatch (header %d, decoded %d): %w",
+			i, instrs, sum, ErrCorrupt)
+	}
 	t.seen = append(t.seen, ChunkInfo{
 		Offset:    off,
 		Records:   recs,
 		Instrs:    instrs,
 		StartNext: isa.Addr(base),
-		CompLen:   int(compLen),
+		CompLen:   int(payLen),
 	})
-	return nil
+	return blocks, file, nil
+}
+
+// readPayload reads n bytes, growing the buffer as data arrives, so a
+// frame that declares a huge length cannot allocate it before the
+// bytes exist.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	const step = 1 << 20
+	buf := make([]byte, 0, min(n, step))
+	for len(buf) < n {
+		k := min(n-len(buf), step)
+		buf = slices.Grow(buf, k)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // readIndexAndFooter parses the trailing index, cross-checking every
-// entry against the chunks actually streamed past, then verifies the
+// entry against the frames actually streamed past, then verifies the
 // footer and that nothing follows it.
 func (t *Reader) readIndexAndFooter(off int64) error {
 	cr := &crcReader{r: t.r, crc: crc32.Update(0, crc32.IEEETable, []byte{frameIndex})}
@@ -485,263 +412,5 @@ func (t *Reader) readIndexAndFooter(off int64) error {
 	} else if err != io.EOF {
 		return fmt.Errorf("trace: reading past footer: %w", err)
 	}
-	return nil
-}
-
-// IndexedReader provides random access over an IPFTRC02 container via
-// its chunk index: O(1) Seek to any chunk and an independent, goroutine-
-// safe DecodeChunk for parallel sharded decoding. Seek and Read share a
-// cursor and are not safe for concurrent use; DecodeChunk is.
-type IndexedReader struct {
-	ra     io.ReaderAt
-	size   int64
-	name   string
-	asid   uint64
-	chunks []ChunkInfo
-	blocks uint64
-	instrs uint64
-
-	cur    []isa.Block
-	curIdx int
-	pos    int
-}
-
-// OpenIndexed parses the footer, index and header of a v2 container.
-// Truncated containers fail with io.ErrUnexpectedEOF; corrupted ones
-// with ErrCorrupt.
-func OpenIndexed(ra io.ReaderAt, size int64) (*IndexedReader, error) {
-	if size < int64(len(magicV2))+footerSize {
-		return nil, fmt.Errorf("trace: container too short (%d bytes): %w", size, io.ErrUnexpectedEOF)
-	}
-	var foot [footerSize]byte
-	if _, err := ra.ReadAt(foot[:], size-footerSize); err != nil {
-		return nil, fmt.Errorf("trace: reading footer: %w", err)
-	}
-	if string(foot[12:]) != footMagic {
-		var head [8]byte
-		ra.ReadAt(head[:], 0)
-		switch string(head[:]) {
-		case magicV2:
-			return nil, fmt.Errorf("trace: container truncated: footer missing: %w", io.ErrUnexpectedEOF)
-		case magic:
-			return nil, errors.New("trace: v1 trace has no chunk index (stream it with NewReader)")
-		}
-		return nil, ErrBadMagic
-	}
-	idxOff := int64(binary.LittleEndian.Uint64(foot[0:8]))
-	if idxOff < int64(len(magicV2)) || idxOff > size-footerSize-1 {
-		return nil, fmt.Errorf("trace: footer index offset %d outside container: %w", idxOff, ErrCorrupt)
-	}
-	idxBytes := make([]byte, size-footerSize-idxOff)
-	if _, err := ra.ReadAt(idxBytes, idxOff); err != nil {
-		return nil, fmt.Errorf("trace: reading chunk index: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(idxBytes); got != binary.LittleEndian.Uint32(foot[8:12]) {
-		return nil, fmt.Errorf("trace: chunk index checksum mismatch: %w", ErrCorrupt)
-	}
-	ir := &IndexedReader{ra: ra, size: size}
-	if err := ir.parseIndex(idxBytes, idxOff); err != nil {
-		return nil, err
-	}
-	if err := ir.parseHeader(); err != nil {
-		return nil, err
-	}
-	return ir, nil
-}
-
-func (ir *IndexedReader) parseIndex(idxBytes []byte, idxOff int64) error {
-	rd := bytes.NewReader(idxBytes)
-	if typ, err := rd.ReadByte(); err != nil || typ != frameIndex {
-		return fmt.Errorf("trace: chunk index frame malformed: %w", ErrCorrupt)
-	}
-	n, err := binary.ReadUvarint(rd)
-	if err != nil || n > maxChunks {
-		return fmt.Errorf("trace: chunk index malformed: %w", ErrCorrupt)
-	}
-	prevEnd := int64(len(magicV2))
-	for i := 0; i < int(n); i++ {
-		var fields [5]uint64
-		for f := range fields {
-			v, err := binary.ReadUvarint(rd)
-			if err != nil {
-				return fmt.Errorf("trace: chunk index entry %d malformed: %w", i, ErrCorrupt)
-			}
-			fields[f] = v
-		}
-		e := ChunkInfo{
-			Offset:    int64(fields[0]),
-			Records:   fields[1],
-			Instrs:    fields[2],
-			StartNext: isa.Addr(fields[3]),
-			CompLen:   int(fields[4]),
-		}
-		if e.Records == 0 || e.Records > maxChunkRecords || e.CompLen <= 0 || e.CompLen > maxChunkBytes {
-			return fmt.Errorf("trace: chunk %d: implausible index entry: %w", i, ErrCorrupt)
-		}
-		if e.Offset < prevEnd || e.Offset+int64(e.CompLen) >= idxOff {
-			return fmt.Errorf("trace: chunk %d: index offset %d outside container: %w", i, e.Offset, ErrCorrupt)
-		}
-		prevEnd = e.Offset + int64(e.CompLen)
-		ir.chunks = append(ir.chunks, e)
-		ir.blocks += e.Records
-		ir.instrs += e.Instrs
-	}
-	if rd.Len() != 0 {
-		return fmt.Errorf("trace: %d trailing bytes after chunk index: %w", rd.Len(), ErrCorrupt)
-	}
-	return nil
-}
-
-func (ir *IndexedReader) parseHeader() error {
-	hr := bufio.NewReader(io.NewSectionReader(ir.ra, 0, ir.size))
-	head := make([]byte, len(magicV2))
-	if _, err := io.ReadFull(hr, head); err != nil {
-		return fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(head) != magicV2 {
-		return ErrBadMagic
-	}
-	nameLen, err := binary.ReadUvarint(hr)
-	if err != nil || nameLen > 1<<16 {
-		return fmt.Errorf("trace: header malformed: %w", ErrCorrupt)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(hr, nameBuf); err != nil {
-		return fmt.Errorf("trace: reading name: %w", err)
-	}
-	ir.name = string(nameBuf)
-	if ir.asid, err = binary.ReadUvarint(hr); err != nil {
-		return fmt.Errorf("trace: reading asid: %w", err)
-	}
-	return nil
-}
-
-// Name returns the workload name recorded in the header.
-func (ir *IndexedReader) Name() string { return ir.name }
-
-// ASID returns the address-space id recorded in the header.
-func (ir *IndexedReader) ASID() uint64 { return ir.asid }
-
-// NumChunks returns the number of chunks in the container.
-func (ir *IndexedReader) NumChunks() int { return len(ir.chunks) }
-
-// Blocks returns the total block count from the index.
-func (ir *IndexedReader) Blocks() uint64 { return ir.blocks }
-
-// Instructions returns the total instruction count from the index.
-func (ir *IndexedReader) Instructions() uint64 { return ir.instrs }
-
-// Chunks returns a copy of the chunk index.
-func (ir *IndexedReader) Chunks() []ChunkInfo { return append([]ChunkInfo(nil), ir.chunks...) }
-
-// DecodeChunk decodes chunk i into freshly-allocated blocks after
-// verifying its CRC and counts against the index. It touches no shared
-// cursor state, so concurrent calls (sharded parallel decode, the
-// replay prefetcher) are safe.
-func (ir *IndexedReader) DecodeChunk(i int) ([]isa.Block, error) {
-	if i < 0 || i >= len(ir.chunks) {
-		return nil, fmt.Errorf("trace: chunk %d out of range [0,%d)", i, len(ir.chunks))
-	}
-	c := ir.chunks[i]
-	maxHdr := int64(1 + 5*binary.MaxVarintLen64 + 4)
-	end := c.Offset + maxHdr + int64(c.CompLen)
-	if end > ir.size {
-		end = ir.size
-	}
-	buf := make([]byte, end-c.Offset)
-	if _, err := io.ReadFull(io.NewSectionReader(ir.ra, c.Offset, int64(len(buf))), buf); err != nil {
-		return nil, fmt.Errorf("trace: chunk %d: reading frame: %w", i, err)
-	}
-	rd := bytes.NewReader(buf)
-	typ, _ := rd.ReadByte()
-	if typ != frameChunk {
-		return nil, fmt.Errorf("trace: chunk %d: index points at frame type 0x%02x: %w", i, typ, ErrCorrupt)
-	}
-	var fields [5]uint64
-	for f := range fields {
-		v, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("trace: chunk %d: frame header malformed: %w", i, ErrCorrupt)
-		}
-		fields[f] = v
-	}
-	base, recs, instrs, rawLen, compLen := fields[0], fields[1], fields[2], fields[3], fields[4]
-	if isa.Addr(base) != c.StartNext || recs != c.Records || instrs != c.Instrs || int(compLen) != c.CompLen {
-		return nil, fmt.Errorf("trace: chunk %d: frame header disagrees with index: %w", i, ErrCorrupt)
-	}
-	if rawLen == 0 || rawLen > maxChunkBytes {
-		return nil, fmt.Errorf("trace: chunk %d: implausible payload size %d: %w", i, rawLen, ErrCorrupt)
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(rd, crcb[:]); err != nil {
-		return nil, fmt.Errorf("trace: chunk %d truncated: %w", i, io.ErrUnexpectedEOF)
-	}
-	if rd.Len() < int(compLen) {
-		return nil, fmt.Errorf("trace: chunk %d truncated: %w", i, io.ErrUnexpectedEOF)
-	}
-	comp := buf[len(buf)-rd.Len():][:compLen]
-	if got := crc32.ChecksumIEEE(comp); got != binary.LittleEndian.Uint32(crcb[:]) {
-		return nil, fmt.Errorf("trace: chunk %d: checksum mismatch (stored %08x, computed %08x): %w",
-			i, binary.LittleEndian.Uint32(crcb[:]), got, ErrCorrupt)
-	}
-	raw, err := inflate(comp, int(rawLen), nil)
-	if err != nil {
-		return nil, fmt.Errorf("trace: chunk %d: %w", i, err)
-	}
-	rr := bytes.NewReader(raw)
-	blocks := make([]isa.Block, 0, recs)
-	prevNext := isa.Addr(base)
-	var sumInstrs uint64
-	for k := uint64(0); k < recs; k++ {
-		var b isa.Block
-		if err := readRecord(rr, &prevNext, k, &b); err != nil {
-			if err == io.EOF {
-				err = fmt.Errorf("block %d truncated: %w", k, io.ErrUnexpectedEOF)
-			}
-			return nil, fmt.Errorf("trace: chunk %d: %w", i, err)
-		}
-		sumInstrs += uint64(b.NumInstrs)
-		blocks = append(blocks, b)
-	}
-	if rr.Len() != 0 {
-		return nil, fmt.Errorf("trace: chunk %d: %d trailing payload bytes: %w", i, rr.Len(), ErrCorrupt)
-	}
-	if sumInstrs != instrs {
-		return nil, fmt.Errorf("trace: chunk %d: instruction count mismatch (header %d, decoded %d): %w",
-			i, instrs, sumInstrs, ErrCorrupt)
-	}
-	return blocks, nil
-}
-
-// Seek positions the sequential cursor at the start of the given chunk.
-func (ir *IndexedReader) Seek(chunk int) error {
-	if chunk < 0 || chunk > len(ir.chunks) {
-		return fmt.Errorf("trace: seek to chunk %d out of range [0,%d]", chunk, len(ir.chunks))
-	}
-	ir.curIdx = chunk
-	ir.cur = nil
-	ir.pos = 0
-	return nil
-}
-
-// Read decodes the next block at the cursor (reusing MemOps capacity),
-// returning io.EOF after the final chunk.
-func (ir *IndexedReader) Read(b *isa.Block) error {
-	for ir.pos >= len(ir.cur) {
-		if ir.curIdx >= len(ir.chunks) {
-			return io.EOF
-		}
-		blocks, err := ir.DecodeChunk(ir.curIdx)
-		if err != nil {
-			return err
-		}
-		ir.cur = blocks
-		ir.curIdx++
-		ir.pos = 0
-	}
-	src := &ir.cur[ir.pos]
-	ir.pos++
-	b.PC, b.NumInstrs, b.CTI, b.Target = src.PC, src.NumInstrs, src.CTI, src.Target
-	b.MemOps = append(b.MemOps[:0], src.MemOps...)
 	return nil
 }

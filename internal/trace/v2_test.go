@@ -5,9 +5,10 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/workload"
@@ -26,18 +27,29 @@ func blocksEqual(a, b *isa.Block) bool {
 	return true
 }
 
-// recordV2Bytes captures n generator blocks into a v2 container.
-func recordV2Bytes(t testing.TB, name string, seed, n uint64, chunk int) []byte {
+// genBlocks returns n blocks of a generator stream.
+func genBlocks(p workload.Profile, seed uint64, n int) []isa.Block {
+	g := workload.NewGenerator(workload.MustBuildProgram(p, 0), seed)
+	out := make([]isa.Block, n)
+	for i := range out {
+		g.Next(&out[i])
+		out[i].MemOps = append([]isa.MemOp(nil), out[i].MemOps...)
+	}
+	return out
+}
+
+// recordV2Bytes captures n generator blocks into a container.
+func recordV2Bytes(t testing.TB, name string, seed, n uint64) []byte {
 	t.Helper()
 	prog := workload.MustBuildProgram(workload.Web(), 3)
 	var buf bytes.Buffer
-	if err := RecordV2(&buf, name, 3, workload.NewGenerator(prog, seed), n, chunk); err != nil {
+	if err := Record(&buf, name, 3, workload.NewGenerator(prog, seed), n); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// drainV2 reads a container to the end, returning the blocks and the
+// drainV2 reads a trace to the end, returning the blocks and the
 // terminal error (io.EOF for a clean end).
 func drainV2(raw []byte) ([]isa.Block, error) {
 	r, err := NewReader(bytes.NewReader(raw))
@@ -56,25 +68,18 @@ func drainV2(raw []byte) ([]isa.Block, error) {
 
 func TestV2RoundTripMatchesV1(t *testing.T) {
 	const n = 20000
-	prog := workload.MustBuildProgram(workload.Web(), 3)
-
-	var v1 bytes.Buffer
-	if err := Record(&v1, "Web", 3, workload.NewGenerator(prog, 9), n); err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := RecordV2(&v2, "Web", 3, workload.NewGenerator(prog, 9), n, 0); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len() >= v1.Len() {
-		t.Errorf("v2 container (%d bytes) not smaller than v1 stream (%d bytes)", v2.Len(), v1.Len())
+	blocks := genBlocks(workload.Web(), 9, n)
+	v1 := v1Bytes("Web", 3, blocks)
+	v2 := containerOf(t, "Web", 3, blocks)
+	if len(v2) >= len(v1) {
+		t.Errorf("container (%d bytes) not smaller than v1 stream (%d bytes)", len(v2), len(v1))
 	}
 
-	r1, err := NewReader(bytes.NewReader(v1.Bytes()))
+	r1, err := NewReader(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewReader(bytes.NewReader(v2.Bytes()))
+	r2, err := NewReader(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,136 +107,140 @@ func TestV2RoundTripMatchesV1(t *testing.T) {
 	if r2.Blocks() != n {
 		t.Fatalf("v2 reader blocks = %d", r2.Blocks())
 	}
-	wantChunks := (n + DefaultChunkRecords - 1) / DefaultChunkRecords
-	if got := len(r2.Chunks()); got != wantChunks {
-		t.Fatalf("chunks = %d, want %d", got, wantChunks)
+	if got := len(r2.Chunks()); got < 10 {
+		t.Fatalf("chunks = %d, want content-defined chunks of ~8 KiB", got)
 	}
 }
 
-func TestIndexedReaderSeekAndRead(t *testing.T) {
-	const n, chunk = 5000, 512
-	raw := recordV2Bytes(t, "Web", 9, n, chunk)
-	want, err := drainV2(raw)
-	if err != io.EOF {
-		t.Fatal(err)
+// TestWriterFramesAreBuilderChunks pins what corpus ingest relies on:
+// the writer's frames are exactly the chunks ChunkBuilder cuts, each
+// frame's payload is the chunk file Encode gives, and ReadFrame hands
+// that file back verbatim.
+func TestWriterFramesAreBuilderChunks(t *testing.T) {
+	blocks := genBlocks(workload.DB(), 4, 6000)
+	var want [][]byte
+	cb := NewChunkBuilder()
+	for i := range blocks {
+		if cb.Add(&blocks[i]) || i == len(blocks)-1 {
+			file, err := cb.Encode(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, file)
+			cb.Reset()
+		}
 	}
-
-	ir, err := OpenIndexed(bytes.NewReader(raw), int64(len(raw)))
+	r, err := NewReader(bytes.NewReader(containerOf(t, "DB", 0, blocks)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ir.Name() != "Web" || ir.ASID() != 3 {
-		t.Fatalf("header = %q/%d", ir.Name(), ir.ASID())
-	}
-	if ir.Blocks() != n {
-		t.Fatalf("index blocks = %d", ir.Blocks())
-	}
-	if got, want := ir.NumChunks(), (n+chunk-1)/chunk; got != want {
-		t.Fatalf("chunks = %d, want %d", got, want)
-	}
-	var sum uint64
-	for _, c := range ir.Chunks() {
-		sum += c.Instrs
-	}
-	if sum != ir.Instructions() {
-		t.Fatalf("index instrs %d != sum %d", ir.Instructions(), sum)
-	}
-
-	// Full sequential read matches the streaming decode.
-	var b isa.Block
-	for i := range want {
-		if err := ir.Read(&b); err != nil {
-			t.Fatalf("block %d: %v", i, err)
+	for i := 0; ; i++ {
+		got, file, err := r.ReadFrame()
+		if err == io.EOF {
+			if i != len(want) {
+				t.Fatalf("%d frames, want %d", i, len(want))
+			}
+			break
 		}
-		if !blocksEqual(&b, &want[i]) {
-			t.Fatalf("block %d differs from streaming decode", i)
-		}
-	}
-	if err := ir.Read(&b); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-
-	// Seek lands exactly on chunk boundaries.
-	for _, start := range []int{0, 3, ir.NumChunks() - 1} {
-		if err := ir.Seek(start); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
-		skip := 0
-		for _, c := range ir.Chunks()[:start] {
-			skip += int(c.Records)
+		if i >= len(want) || !bytes.Equal(file, want[i]) {
+			t.Fatalf("frame %d is not the builder's chunk file", i)
 		}
-		for i := skip; i < len(want); i++ {
-			if err := ir.Read(&b); err != nil {
-				t.Fatalf("seek %d block %d: %v", start, i, err)
-			}
-			if !blocksEqual(&b, &want[i]) {
-				t.Fatalf("after Seek(%d), block %d differs", start, i)
-			}
-		}
-		if err := ir.Read(&b); err != io.EOF {
-			t.Fatalf("expected EOF after seek, got %v", err)
+		back, rawLen, err := DecodeChunkFile(file)
+		if err != nil || len(back) != len(got) || rawLen != len(RawRecords(got)) {
+			t.Fatalf("frame %d: chunk file decodes to %d blocks, raw %d (err %v)", i, len(back), rawLen, err)
 		}
 	}
-	if err := ir.Seek(ir.NumChunks()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ir.Read(&b); err != io.EOF {
-		t.Fatalf("seek-to-end read = %v, want EOF", err)
-	}
-	if err := ir.Seek(ir.NumChunks() + 1); err == nil {
-		t.Fatal("out-of-range seek accepted")
+	if r.Blocks() != uint64(len(blocks)) {
+		t.Fatalf("ReadFrame counted %d blocks, want %d", r.Blocks(), len(blocks))
 	}
 }
 
-func TestParallelShardDecode(t *testing.T) {
-	const n, chunk, shards = 8000, 256, 4
-	raw := recordV2Bytes(t, "Web", 11, n, chunk)
-	want, err := drainV2(raw)
-	if err != io.EOF {
-		t.Fatal(err)
+// TestWriteChunkCopiesFile: a chunk file appended with WriteChunk lands
+// in the container byte for byte and reads back as its blocks.
+func TestWriteChunkCopiesFile(t *testing.T) {
+	blocks := genBlocks(workload.Web(), 2, 300)
+	cb := NewChunkBuilder()
+	for i := range blocks {
+		cb.Add(&blocks[i])
 	}
-	ir, err := OpenIndexed(bytes.NewReader(raw), int64(len(raw)))
+	file, err := cb.Encode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	w, _ := NewWriterV2(&buf, "Web", 0, 0)
+	if err := w.Write(&blocks[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteChunk(file, uint64(cb.Records()), cb.Instrs()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), file) {
+		t.Fatal("container does not hold the chunk file verbatim")
+	}
+	got, err := drainV2(buf.Bytes())
+	if err != io.EOF || len(got) != 1+len(blocks) {
+		t.Fatalf("read %d blocks, err %v", len(got), err)
+	}
+	for i := range blocks {
+		if !blocksEqual(&got[1+i], &blocks[i]) {
+			t.Fatalf("block %d differs", i)
+		}
+	}
+}
 
-	// Each shard decodes a strided subset of chunks concurrently;
-	// DecodeChunk shares no cursor state, so the results must agree
-	// exactly with the sequential decode.
-	decoded := make([][]isa.Block, ir.NumChunks())
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := s; i < ir.NumChunks(); i += shards {
-				blocks, err := ir.DecodeChunk(i)
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				decoded[i] = blocks
-			}
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
+// TestLegacyFixturesRead: a v1 stream and a container of 0x01 frames,
+// both written before chunk-file frames existed, still read as the
+// generator streams they recorded.
+func TestLegacyFixturesRead(t *testing.T) {
+	for _, tc := range []struct {
+		file, format string
+		p            workload.Profile
+		seed         uint64
+		chunks       int
+	}{
+		{"testdata/legacy-v1.trc", magic, workload.Web(), 5, 0},
+		{"testdata/legacy-v2-flate-frames.trc", magicV2, workload.DB(), 1, 4},
+	} {
+		data, err := os.ReadFile(tc.file)
 		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
+			t.Fatal(err)
+		}
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Format() != tc.format || r.Name() != tc.p.Name {
+			t.Fatalf("%s: header %s/%s", tc.file, r.Format(), r.Name())
+		}
+		want := genBlocks(tc.p, tc.seed, 1000)
+		var b isa.Block
+		for i := range want {
+			if err := r.Read(&b); err != nil {
+				t.Fatalf("%s block %d: %v", tc.file, i, err)
+			}
+			if !blocksEqual(&b, &want[i]) {
+				t.Fatalf("%s block %d differs from the generator", tc.file, i)
+			}
+		}
+		if err := r.Read(&b); err != io.EOF {
+			t.Fatalf("%s: tail = %v, want EOF", tc.file, err)
+		}
+		if got := len(r.Chunks()); got != tc.chunks {
+			t.Fatalf("%s: %d frames, want %d", tc.file, got, tc.chunks)
 		}
 	}
-	var got []isa.Block
-	for _, blocks := range decoded {
-		got = append(got, blocks...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("sharded decode yielded %d blocks, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if !blocksEqual(&got[i], &want[i]) {
-			t.Fatalf("block %d differs under sharded decode", i)
-		}
+}
+
+func TestNewWriterV2RejectsChunkRecords(t *testing.T) {
+	if _, err := NewWriterV2(io.Discard, "x", 0, 4096); err == nil {
+		t.Fatal("fixed chunk size accepted")
 	}
 }
 
@@ -239,7 +248,16 @@ func TestParallelShardDecode(t *testing.T) {
 // prefix may ever read to a clean io.EOF, and once the header parses,
 // the failure must be flagged as truncation or corruption.
 func TestV2TruncationTable(t *testing.T) {
-	raw := recordV2Bytes(t, "Web", 5, 40, 16)
+	raw := recordV2Bytes(t, "Web", 5, 800)
+	if blocks, err := drainV2(raw); err != io.EOF || len(blocks) != 800 {
+		t.Fatalf("intact container: %d blocks, err %v", len(blocks), err)
+	}
+	r, _ := NewReader(bytes.NewReader(raw))
+	for r.Read(&isa.Block{}) == nil {
+	}
+	if len(r.Chunks()) < 2 {
+		t.Fatalf("%d frames; the table wants cuts between frames too", len(r.Chunks()))
+	}
 	for cut := 1; cut < len(raw); cut++ {
 		prefix := raw[:cut]
 		blocks, err := drainV2(prefix)
@@ -251,9 +269,6 @@ func TestV2TruncationTable(t *testing.T) {
 				t.Fatalf("cut %d/%d: error %v is neither truncation nor corruption", cut, len(raw), err)
 			}
 		}
-		if _, err := OpenIndexed(bytes.NewReader(prefix), int64(cut)); err == nil {
-			t.Fatalf("cut %d/%d: OpenIndexed accepted truncated container", cut, len(raw))
-		}
 	}
 }
 
@@ -262,32 +277,13 @@ func TestV2TruncationTable(t *testing.T) {
 // (clean io.EOF with the full records so far), while any mid-record cut
 // must surface io.ErrUnexpectedEOF.
 func TestV1TruncationTable(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "unit", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	boundaries := map[int]int{buf.Len(): 0} // offset -> records before it
 	in := sampleBlocks()
+	headerLen := len(v1Header("unit", 0))
+	boundaries := map[int]int{headerLen: 0} // offset -> records before it
 	for i := range in {
-		if err := w.Write(&in[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		boundaries[buf.Len()] = i + 1
+		boundaries[len(v1Bytes("unit", 0, in[:i+1]))] = i + 1
 	}
-	raw := buf.Bytes()
-	headerLen := 0
-	for off, recs := range boundaries {
-		if recs == 0 {
-			headerLen = off
-		}
-	}
+	raw := v1Bytes("unit", 0, in)
 	for cut := headerLen; cut <= len(raw); cut++ {
 		r, err := NewReader(bytes.NewReader(raw[:cut]))
 		if err != nil {
@@ -312,69 +308,50 @@ func TestV1TruncationTable(t *testing.T) {
 	}
 }
 
-// TestCorruptChunkNamesChunk flips a byte inside one chunk's payload:
-// both decode paths must reject the container with a diagnostic naming
-// that chunk, and the indexed path must still decode the others.
+// TestCorruptChunkNamesChunk flips a byte inside one frame's chunk
+// file: the reader must reject the container with a diagnostic naming
+// that chunk.
 func TestCorruptChunkNamesChunk(t *testing.T) {
-	raw := recordV2Bytes(t, "Web", 7, 48, 16) // 3 chunks
-	ir, err := OpenIndexed(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		t.Fatal(err)
+	raw := recordV2Bytes(t, "Web", 7, 3000)
+	r, _ := NewReader(bytes.NewReader(raw))
+	for r.Read(&isa.Block{}) == nil {
 	}
-	chunks := ir.Chunks()
-	if len(chunks) != 3 {
-		t.Fatalf("chunks = %d, want 3", len(chunks))
+	chunks := r.Chunks()
+	if len(chunks) < 3 {
+		t.Fatalf("chunks = %d, want at least 3", len(chunks))
 	}
 	bad := append([]byte(nil), raw...)
 	bad[chunks[2].Offset-1] ^= 0xff // last payload byte of chunk 1
 
-	_, err = drainV2(bad)
+	_, err := drainV2(bad)
 	if err == nil || err == io.EOF {
-		t.Fatal("streaming reader accepted corrupted chunk")
+		t.Fatal("reader accepted corrupted chunk")
 	}
 	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("streaming error %v does not wrap ErrCorrupt", err)
+		t.Fatalf("error %v does not wrap ErrCorrupt", err)
 	}
 	if !strings.Contains(err.Error(), "chunk 1") {
-		t.Fatalf("streaming error %q does not name chunk 1", err)
-	}
-
-	irBad, err := OpenIndexed(bytes.NewReader(bad), int64(len(bad)))
-	if err != nil {
-		t.Fatal(err) // index and footer are untouched
-	}
-	if _, err := irBad.DecodeChunk(1); err == nil {
-		t.Fatal("DecodeChunk accepted corrupted chunk")
-	} else if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "chunk 1") {
-		t.Fatalf("DecodeChunk error %q: want ErrCorrupt naming chunk 1", err)
-	}
-	for _, i := range []int{0, 2} {
-		if _, err := irBad.DecodeChunk(i); err != nil {
-			t.Fatalf("intact chunk %d rejected: %v", i, err)
-		}
+		t.Fatalf("error %q does not name chunk 1", err)
 	}
 }
 
 func TestCorruptIndexEntryRejected(t *testing.T) {
-	raw := recordV2Bytes(t, "Web", 7, 48, 16)
+	raw := recordV2Bytes(t, "Web", 7, 48)
 	// Flip a byte inside the index region (between the last chunk's end
 	// and the footer): either the index CRC or the entry cross-check
-	// must catch it on both paths.
+	// must catch it.
 	bad := append([]byte(nil), raw...)
 	bad[len(bad)-footerSize-2] ^= 0x01
 	if _, err := drainV2(bad); err == nil || err == io.EOF {
-		t.Fatal("streaming reader accepted corrupted index")
-	}
-	if _, err := OpenIndexed(bytes.NewReader(bad), int64(len(bad))); err == nil {
-		t.Fatal("OpenIndexed accepted corrupted index")
+		t.Fatal("reader accepted corrupted index")
 	}
 }
 
 func TestTrailingGarbageRejected(t *testing.T) {
-	raw := recordV2Bytes(t, "Web", 7, 20, 16)
+	raw := recordV2Bytes(t, "Web", 7, 20)
 	bad := append(append([]byte(nil), raw...), 0x00)
 	if _, err := drainV2(bad); err == nil || err == io.EOF {
-		t.Fatal("streaming reader accepted trailing garbage")
+		t.Fatal("reader accepted trailing garbage")
 	}
 }
 
@@ -391,42 +368,38 @@ func TestEmptyV2Container(t *testing.T) {
 	if err != io.EOF || len(blocks) != 0 {
 		t.Fatalf("empty container: %d blocks, err %v", len(blocks), err)
 	}
-	ir, err := OpenIndexed(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ir.NumChunks() != 0 || ir.Blocks() != 0 {
-		t.Fatalf("empty container index: %d chunks, %d blocks", ir.NumChunks(), ir.Blocks())
-	}
-}
-
-func TestOpenIndexedRejectsV1(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Record(&buf, "x", 0, &loopSource{}, 10); err != nil {
-		t.Fatal(err)
-	}
-	_, err := OpenIndexed(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err == nil || !strings.Contains(err.Error(), "chunk index") {
-		t.Fatalf("v1 input: err = %v, want chunk-index diagnostic", err)
-	}
 }
 
 func TestRecordV2ContextCancellation(t *testing.T) {
+	// A mid-stream cancel leaves a finalised IPFTRC02 container whose
+	// blocks are exactly the first k*ctxPollBlocks blocks of the source.
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	var buf bytes.Buffer
-	err := RecordV2Context(ctx, &buf, "unit", 0, &loopSource{}, 1<<40, 16)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RecordV2Context = %v, want context.Canceled", err)
+	src := &loopSource{}
+	done := make(chan error, 1)
+	go func() { done <- RecordContext(ctx, &buf, "unit", 0, src, 1<<40) }()
+	for src.i.Load() == 0 {
+		time.Sleep(time.Millisecond)
 	}
-	// Cancellation still finalises the container: index + footer present,
-	// zero blocks (the poll fired before the first record).
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("RecordContext = %v, want context.Canceled", err)
+	}
+	if got := string(buf.Bytes()[:len(magicV2)]); got != magicV2 {
+		t.Fatalf("interrupted container magic = %q, want %q", got, magicV2)
+	}
 	blocks, err := drainV2(buf.Bytes())
 	if err != io.EOF {
-		t.Fatalf("interrupted container unreadable: %v", err)
+		t.Fatalf("interrupted container unreadable at block %d: %v", len(blocks), err)
 	}
-	if len(blocks) != 0 {
-		t.Fatalf("interrupted container holds %d blocks, want 0", len(blocks))
+	if len(blocks) == 0 || len(blocks)%ctxPollBlocks != 0 {
+		t.Fatalf("interrupted container holds %d blocks, want a positive multiple of %d", len(blocks), ctxPollBlocks)
+	}
+	want := sampleBlocks()
+	for i := range blocks {
+		if !blocksEqual(&blocks[i], &want[i%len(want)]) {
+			t.Fatalf("block %d = %+v, want %+v", i, blocks[i], want[i%len(want)])
+		}
 	}
 }
 
@@ -446,36 +419,24 @@ func TestWriterV2RejectsWriteAfterClose(t *testing.T) {
 	if err := w.Write(&b); err == nil {
 		t.Fatal("write after Close accepted")
 	}
+	if err := w.WriteChunk([]byte{1}, 1, 1); err == nil {
+		t.Fatal("WriteChunk after Close accepted")
+	}
 }
 
-func BenchmarkWriteV2(b *testing.B) {
-	prog := workload.MustBuildProgram(workload.DB(), 0)
-	g := workload.NewGenerator(prog, 1)
-	var blk isa.Block
-	w, err := NewWriterV2(io.Discard, "DB", 0, 0)
+func BenchmarkDecodeChunkFile(b *testing.B) {
+	blocks := genBlocks(workload.DB(), 1, 2000)
+	cb := NewChunkBuilder()
+	for i := range blocks {
+		cb.Add(&blocks[i])
+	}
+	file, err := cb.Encode(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Next(&blk)
-		w.Write(&blk)
-	}
-}
-
-func BenchmarkDecodeChunk(b *testing.B) {
-	prog := workload.MustBuildProgram(workload.DB(), 0)
-	var buf bytes.Buffer
-	if err := RecordV2(&buf, "DB", 0, workload.NewGenerator(prog, 1), 100000, 0); err != nil {
-		b.Fatal(err)
-	}
-	ir, err := OpenIndexed(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ir.DecodeChunk(i % ir.NumChunks()); err != nil {
+		if _, _, err := DecodeChunkFile(file); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // ChunkedTrace is the random-access trace surface FromTrace replays:
-// a chunk-indexed container whose chunks decode independently.
-// *trace.IndexedReader satisfies it. (The interface lives here, not a
-// trace import, so package trace's tests may keep importing workload.)
+// a chunked trace whose chunks decode independently. A corpus entry
+// satisfies it. (The interface lives here, not a trace import, so
+// package trace's tests may keep importing workload.)
 type ChunkedTrace interface {
 	NumChunks() int
 	Blocks() uint64

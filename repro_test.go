@@ -3,9 +3,14 @@ package repro
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 func TestNewMachineDefaults(t *testing.T) {
@@ -309,7 +314,7 @@ func TestAnalyzeTrace(t *testing.T) {
 	if err := AnalyzeTrace(&sb, &buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"workload DB (recorded trace, IPFTRC01)", "container size", "bits/block"} {
+	for _, want := range []string{"workload DB (recorded trace, IPFTRC02)", "container size", "bits/block"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, sb.String())
 		}
@@ -320,10 +325,13 @@ func TestAnalyzeTrace(t *testing.T) {
 }
 
 // TestGoldenTraces freezes the byte-exact output of the workload
-// generators and the trace encoder: any unintended change to the
-// deterministic stream (RNG, profiles, generator logic, trace format)
-// fails here. When a change is intentional (e.g. recalibrating a
-// profile), update the hashes via:
+// generators and the record encoding: any unintended change to the
+// deterministic stream (RNG, profiles, generator logic, record format)
+// fails here. It hashes the recorded stream's flat record serialisation
+// (the legacy IPFTRC01 layout, which has no compression in it), so the
+// pins do not depend on how containers frame or compress chunks. When a
+// change is intentional (e.g. recalibrating a profile), update the
+// hashes via:
 //
 //	go test -run TestGoldenTraces -v   # prints the new hashes on failure
 func TestGoldenTraces(t *testing.T) {
@@ -338,11 +346,37 @@ func TestGoldenTraces(t *testing.T) {
 		if err := RecordTrace(&buf, app, 1, 10000); err != nil {
 			t.Fatal(err)
 		}
-		got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+		got := fmt.Sprintf("%x", sha256.Sum256(flatRecords(t, &buf)))
 		if got != golden[app] {
 			t.Errorf("%s: trace hash %s, golden %s (update the table if this change is intentional)",
 				app, got, golden[app])
 		}
+	}
+}
+
+// flatRecords decodes a recorded trace and re-serialises it as a flat
+// IPFTRC01 stream: magic, name, asid, then each record delta-based on
+// the previous block's NextPC.
+func flatRecords(t *testing.T, r io.Reader) []byte {
+	t.Helper()
+	tr, err := trace.NewReader(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := bytes.NewBufferString("IPFTRC01")
+	out.Write(binary.AppendUvarint(nil, uint64(len(tr.Name()))))
+	out.WriteString(tr.Name())
+	out.Write(binary.AppendUvarint(nil, tr.ASID()))
+	scratch := make([]byte, binary.MaxVarintLen64)
+	var prevNext isa.Addr
+	var b isa.Block
+	for {
+		if err := tr.Read(&b); err == io.EOF {
+			return out.Bytes()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		prevNext = trace.EncodeRecord(out, scratch, prevNext, &b)
 	}
 }
 

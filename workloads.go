@@ -47,15 +47,17 @@ func Workloads() []WorkloadInfo {
 }
 
 // RecordTrace captures n dynamic basic blocks of the named application
-// into w using the library's binary trace format. seed selects the
-// stream; equal (name, seed, n) always produce identical traces.
+// into w as an IPFTRC02 container, the library's one trace encoding.
+// seed selects the stream; equal (name, seed, n) always produce
+// identical traces.
 func RecordTrace(w io.Writer, name string, seed uint64, n uint64) error {
 	return RecordTraceContext(context.Background(), w, name, seed, n)
 }
 
 // RecordTraceContext is RecordTrace with cooperative cancellation: the
-// capture stops with ctx's error when ctx fires, leaving a valid trace
-// of the blocks recorded so far.
+// capture stops with ctx's error when ctx fires, still finalising the
+// container, so the output is a valid trace of the blocks recorded so
+// far.
 func RecordTraceContext(ctx context.Context, w io.Writer, name string, seed uint64, n uint64) error {
 	prof, err := workload.ByName(name)
 	if err != nil {
@@ -66,28 +68,6 @@ func RecordTraceContext(ctx context.Context, w io.Writer, name string, seed uint
 		return err
 	}
 	return trace.RecordContext(ctx, w, name, 0, workload.NewGenerator(prog, seed), n)
-}
-
-// RecordTraceV2 is RecordTrace writing the chunked IPFTRC02 container
-// (per-chunk compression + CRC + seekable index). chunkRecords is the
-// blocks-per-chunk (0 = default).
-func RecordTraceV2(w io.Writer, name string, seed, n uint64, chunkRecords int) error {
-	return RecordTraceV2Context(context.Background(), w, name, seed, n, chunkRecords)
-}
-
-// RecordTraceV2Context is RecordTraceV2 with cooperative cancellation;
-// an interrupted capture still finalises the container, leaving a
-// valid, shorter trace.
-func RecordTraceV2Context(ctx context.Context, w io.Writer, name string, seed, n uint64, chunkRecords int) error {
-	prof, err := workload.ByName(name)
-	if err != nil {
-		return err
-	}
-	prog, err := workload.BuildProgram(prof, 0)
-	if err != nil {
-		return err
-	}
-	return trace.RecordV2Context(ctx, w, name, 0, workload.NewGenerator(prog, seed), n, chunkRecords)
 }
 
 // TraceStats summarises a recorded trace.
