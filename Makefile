@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race fuzz-smoke bench simbench advgen-smoke
+.PHONY: build vet test race failover-race fuzz-smoke bench simbench advgen-smoke
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,12 @@ test: build vet
 # CI runs).
 race:
 	$(GO) test -race -count=2 -shuffle=on -timeout 90m ./...
+
+# The replica failover test and the journal-fence test, 20 times each
+# under the race detector: a stale owner's late point must never reach
+# the journal behind the new owner's replay (what CI runs).
+failover-race:
+	$(GO) test -race -count=20 -run 'TestReplicaFailoverMidSweep$$|TestStaleOwnerCannotJournalAfterTakeover$$' ./internal/service
 
 # Bounded adversarial-generator smoke: the hill-climb must beat the
 # worst paper workload's L1-I miss rate (what CI runs).

@@ -29,8 +29,9 @@
 // over recorded traces").
 //
 // -dist-coordinator offloads the sweep instead of simulating locally:
-// the spec is submitted to a running iprefetchd daemon, remote
-// iprefetchworker processes execute the grid, and this command polls
+// the spec is submitted to a running iprefetchd daemon, whose own
+// in-process worker and any remote iprefetchworker processes execute
+// the grid, and this command polls
 // progress, downloads the artifacts and renders the same tables as the
 // local path. Interrupting the poll does not cancel the sweep — rerun
 // with the same spec to reattach (sweep identity is content-derived).
@@ -71,7 +72,7 @@ var (
 	sweepFile = flag.String("sweep", "", "run a design-space sweep from this spec JSON file instead of figures")
 	ckptDir   = flag.String("checkpoint", "", "journal sweep points under this directory for resumable runs")
 	workers   = flag.Int("workers", 0, "concurrent simulations in sweep mode (0 = GOMAXPROCS)")
-	distURL   = flag.String("dist-coordinator", "", "submit the -sweep spec to this iprefetchd URL and let remote workers run it")
+	distURL   = flag.String("dist-coordinator", "", "submit the -sweep spec to this iprefetchd URL and let its workers run it")
 	dataDir   = flag.String("data", "", "resolve trace:<id> workloads from the corpus under this data directory")
 	forkWarm  = flag.Bool("fork-warm", false, "sweep mode: share warm-up across points via fork-and-diverge snapshots")
 )
@@ -316,9 +317,10 @@ func loadSpec(path string) (sweep.Spec, error) {
 }
 
 // runDistSweep executes the -dist-coordinator mode: the spec is
-// submitted to a remote iprefetchd coordinator, its workers run the
-// grid, and this process only polls progress and renders the artifacts
-// the coordinator built.
+// submitted to a remote iprefetchd's sweep API, its workers (its own
+// in-process one and any remote iprefetchworkers) run the grid, and
+// this process only polls progress and renders the artifacts the
+// daemon built.
 func runDistSweep(ctx context.Context, path string) error {
 	spec, err := loadSpec(path)
 	if err != nil {

@@ -7,20 +7,20 @@
 //
 // The daemon also runs design-space sweeps (internal/sweep): POST a
 // sweep.Spec with axes over schemes, workloads, cores, table sizes,
-// prefetch depth and cache geometry; the grid shards across the worker
-// pool and exports results.json / results.csv / pareto.csv artifacts.
+// prefetch depth and cache geometry; the grid shards into leases and
+// the sweep exports results.json / results.csv / pareto.csv artifacts.
 // With -data set, every finished point checkpoints to
 // <data>/sweeps/<id>, and because sweep ids are content-derived, a
 // sweep interrupted by a daemon restart resumes from disk when the
 // same spec is POSTed again — zero points recomputed.
 //
-// Endpoints:
-//
-// The daemon embeds a distributed-sweep coordinator (internal/dist)
-// under /v1/dist: remote iprefetchworker processes register, pull grid
-// shards as heartbeat-renewed leases, and stream completed points back;
-// expired leases reinject automatically and point submission is
-// idempotent, so worker crashes cost retries, never correctness.
+// Every sweep is owned by the daemon's embedded coordinator
+// (internal/dist). An in-process worker runs its leases on the worker
+// pool, and remote iprefetchworker processes may join under /v1/dist:
+// they register, pull grid shards as heartbeat-renewed leases, and
+// stream completed points back; expired leases reinject automatically
+// and point submission is idempotent, so worker crashes cost retries,
+// never correctness.
 //
 // Endpoints:
 //
@@ -38,9 +38,6 @@
 //	GET  /v1/corpus/{id}[/manifest]      download a container / its manifest
 //	GET  /v1/corpus/{id}/chunks/{chunk}  one raw CAS chunk (federation unit)
 //	POST /v1/dist/workers                submit a worker registration
-//	POST /v1/dist/sweeps                 launch a distributed sweep
-//	GET  /v1/dist/sweeps[/{id}]          distributed sweep progress
-//	GET  /v1/dist/sweeps/{id}/artifacts/{name}  download artifacts
 //	POST /v1/dist/leases[/{id}/renew|complete|fail]  lease lifecycle
 //	POST /v1/dist/sweeps/{id}/points     deliver a completed point
 //	GET  /v1/jobs/{id}/events            SSE progress stream for a job
@@ -112,8 +109,8 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "default workload seed")
 		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "default per-job deadline (0 = none)")
 		drain      = flag.Duration("drain", 30*time.Second, "shutdown grace period before cancelling running jobs")
-		maxSweeps  = flag.Int("max-sweeps", 8, "max concurrently running local sweeps before submissions get 503")
-		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "distributed-sweep lease lifetime between worker heartbeats")
+		maxSweeps  = flag.Int("max-sweeps", 8, "max concurrently running sweeps before submissions get 503")
+		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "sweep lease lifetime between worker heartbeats")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		corpusCap  = flag.Int64("corpus-max-upload", 0, "max trace-container upload size in bytes (0 = 64 MiB default)")
 		replicaID  = flag.String("replica-id", "", "join the replicated control plane under this replica name (needs shared -data)")

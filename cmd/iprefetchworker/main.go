@@ -47,8 +47,8 @@ func main() {
 	var (
 		coordinator = flag.String("coordinator", "", "coordinator base URL(s), comma-separated for replicated control planes (e.g. http://a:8080,http://b:8080); required")
 		name        = flag.String("name", "", "worker name in coordinator logs/metrics (default host-pid)")
-		concurrency = flag.Int("concurrency", 1, "points simulated in parallel within one lease")
-		poll        = flag.Duration("poll", 500*time.Millisecond, "idle wait between lease polls")
+		concurrency = flag.Int("concurrency", 1, "points simulated in parallel, across up to this many leases held at once")
+		poll        = flag.Duration("poll", 500*time.Millisecond, "longest one lease request waits for new work (a new sweep or a reinjected shard answers it at once)")
 		traceCache  = flag.String("trace-cache", "", "local corpus cache directory for trace:<id> workloads (empty = no trace replay)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		verbose     = flag.Bool("v", false, "log lease and point activity")
@@ -82,7 +82,7 @@ func main() {
 		urls[i] = strings.TrimSpace(urls[i])
 	}
 	w := &dist.Worker{
-		Client:       dist.NewClient(urls[0], urls[1:]...),
+		Coordinator:  dist.NewClient(urls[0], urls[1:]...),
 		Name:         *name,
 		Concurrency:  *concurrency,
 		PollInterval: *poll,

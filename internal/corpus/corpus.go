@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/atomicfile"
 	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -532,48 +533,25 @@ func (s *Store) removePending(hashes []string) {
 	s.mu.Unlock()
 }
 
-// writeChunkFile lands chunk bytes atomically (temp file + rename).
-// Renaming over an existing identical file is harmless.
+// writeChunkFile lands chunk bytes atomically. Renaming over an
+// existing identical file is harmless.
 func (s *Store) writeChunkFile(hash string, file []byte) error {
-	tmp, err := os.CreateTemp(s.chunkDir, ".chunk-*")
-	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op once renamed
-	if _, err := tmp.Write(file); err != nil {
-		tmp.Close()
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err := os.Rename(tmpName, s.chunkPath(hash)); err != nil {
+	if err := atomicfile.Write(s.chunkPath(hash), file); err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
 	return nil
 }
 
-// writeManifest persists a manifest atomically (temp file + rename).
+// writeManifest persists a manifest atomically.
 func (s *Store) writeManifest(m Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, ".manifest-*")
-	if err != nil {
+	if err := atomicfile.Write(s.manifestPath(m.ID), append(data, '\n')); err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	return os.Rename(tmpName, s.manifestPath(m.ID))
+	return nil
 }
 
 // decodeChunkFile decodes a chunk file and, when verify is set,

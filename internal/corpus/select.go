@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/isa"
 )
 
@@ -102,17 +103,7 @@ func (s *Store) writeIndex(idx map[string]indexEntry) {
 	if err != nil {
 		return
 	}
-	tmp, err := os.CreateTemp(s.dir, ".index-*")
-	if err != nil {
-		return
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(append(data, '\n')); err == nil && tmp.Close() == nil {
-		_ = os.Rename(tmpName, s.indexPath())
-	} else {
-		tmp.Close()
-	}
+	_ = atomicfile.Write(s.indexPath(), append(data, '\n'))
 }
 
 // selTerm is one `field op value` clause of a selector.

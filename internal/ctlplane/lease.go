@@ -17,6 +17,8 @@ import (
 	"path/filepath"
 	"syscall"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // LeaseInfo is the persisted ownership record: who owns the journal
@@ -102,20 +104,7 @@ func (fl *FileLease) writeLocked(info LeaseInfo) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(fl.dir, ".lease-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(fl.dir, leaseFile))
+	return atomicfile.Write(filepath.Join(fl.dir, leaseFile), data)
 }
 
 // Acquire attempts to take or renew ownership for holder at now. It
@@ -144,6 +133,27 @@ func (fl *FileLease) Acquire(holder, url string, ttl time.Duration, now time.Tim
 		return fl.writeLocked(granted)
 	})
 	return granted, ok, err
+}
+
+// Fenced runs write under the mutation guard iff the lease record
+// still names holder with token, and reports whether it ran. A takeover
+// also runs under the guard, so a write that ran is ordered before any
+// later owner's takeover, and one that did not would have come after
+// it. Expiry alone does not fence: until a peer takes over, the last
+// owner may still write.
+func (fl *FileLease) Fenced(holder string, token uint64, write func() error) (bool, error) {
+	var held bool
+	err := fl.withGuard(func() error {
+		cur, exists, err := fl.Read()
+		if err != nil {
+			return err
+		}
+		if held = exists && cur.Holder == holder && cur.Token == token; !held {
+			return nil
+		}
+		return write()
+	})
+	return held, err
 }
 
 // Release frees the lease iff holder still owns it, letting a peer

@@ -101,6 +101,13 @@ func (r *Replica) Token() uint64 {
 	return r.token
 }
 
+// Fence runs write iff the shared lease record still holds this
+// replica's current (or last) ownership, and reports whether it ran;
+// see FileLease.Fenced.
+func (r *Replica) Fence(write func() error) (bool, error) {
+	return r.lease.Fenced(r.cfg.ID, r.Token(), write)
+}
+
 // Leader reads the current owner's record off the shared lease file,
 // whether or not that owner is this replica. ok is false when no
 // unexpired lease exists.

@@ -53,16 +53,16 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Client talks to a coordinator mounted at <BaseURL>/v1/dist (the
-// iprefetchd daemon root). All methods retry transient failures under
-// the retry policy and honour ctx cancellation between attempts. With
+// Client talks to an iprefetchd daemon: the worker protocol under
+// <BaseURL>/v1/dist, and sweep submission and reads under
+// <BaseURL>/v1/sweeps. All methods retry transient failures under the
+// retry policy and honour ctx cancellation between attempts. With
 // FallbackURLs set (a replicated control plane), the client rotates to
 // the next replica after a transport error or server-side failure —
 // follower replicas 307-redirect writes to the owner, which the
 // underlying http.Client follows transparently.
 type Client struct {
-	// BaseURL is the daemon root, e.g. "http://host:8080"; the /v1/dist
-	// prefix is appended here.
+	// BaseURL is the daemon root, e.g. "http://host:8080".
 	BaseURL string
 	// FallbackURLs lists additional replica roots to rotate through
 	// when the current one is unreachable.
@@ -175,8 +175,8 @@ func parseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 }
 
 // do POSTs (or GETs, when body is nil and method says so) one API call
-// with retries, decoding a JSON response into out when non-nil.
-// Returns the final HTTP status.
+// to path under the daemon root with retries, decoding a JSON response
+// into out when non-nil. Returns the final HTTP status.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) (int, error) {
 	policy := c.Retry.withDefaults()
 	var payload []byte
@@ -212,7 +212,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) (in
 		if payload != nil {
 			rd = bytes.NewReader(payload)
 		}
-		url := c.currentURL() + "/v1/dist" + path
+		url := c.currentURL() + path
 		req, err := http.NewRequestWithContext(ctx, method, url, rd)
 		if err != nil {
 			return 0, err
@@ -274,23 +274,24 @@ func errBody(data []byte) string {
 // Register admits this worker to the coordinator.
 func (c *Client) Register(ctx context.Context, name string) (WorkerView, error) {
 	var v WorkerView
-	_, err := c.do(ctx, http.MethodPost, "/workers", struct {
+	_, err := c.do(ctx, http.MethodPost, "/v1/dist/workers", struct {
 		Name string `json:"name"`
 	}{name}, &v)
 	return v, err
 }
 
-// SubmitSweep registers a spec for distributed execution.
+// SubmitSweep submits a spec to the daemon's sweep API (POST
+// /v1/sweeps), under the same admission control as any client.
 func (c *Client) SubmitSweep(ctx context.Context, spec sweep.Spec) (SweepView, error) {
 	var v SweepView
-	_, err := c.do(ctx, http.MethodPost, "/sweeps", spec, &v)
+	_, err := c.do(ctx, http.MethodPost, "/v1/sweeps", spec, &v)
 	return v, err
 }
 
 // Sweep fetches one sweep's progress.
 func (c *Client) Sweep(ctx context.Context, id string) (SweepView, error) {
 	var v SweepView
-	_, err := c.do(ctx, http.MethodGet, "/sweeps/"+id, nil, &v)
+	_, err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+id, nil, &v)
 	return v, err
 }
 
@@ -298,7 +299,7 @@ func (c *Client) Sweep(ctx context.Context, id string) (SweepView, error) {
 // not all JSON (results.csv, pareto.csv), so the body comes back raw.
 func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.currentURL()+"/v1/dist/sweeps/"+id+"/artifacts/"+name, nil)
+		c.currentURL()+"/v1/sweeps/"+id+"/artifacts/"+name, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -338,13 +339,15 @@ func (c *Client) FetchCorpus(ctx context.Context, id string) (io.ReadCloser, err
 	return resp.Body, nil
 }
 
-// Acquire requests the next shard lease. A nil lease with nil error
-// means the coordinator has no pending work right now.
-func (c *Client) Acquire(ctx context.Context, workerID string) (*Lease, error) {
+// Acquire requests the next shard lease; the coordinator holds the
+// request up to wait for work to appear. A nil lease with nil error
+// means no work came.
+func (c *Client) Acquire(ctx context.Context, workerID string, wait time.Duration) (*Lease, error) {
 	var l Lease
-	status, err := c.do(ctx, http.MethodPost, "/leases", struct {
+	status, err := c.do(ctx, http.MethodPost, "/v1/dist/leases", struct {
 		WorkerID string `json:"worker_id"`
-	}{workerID}, &l)
+		WaitMS   int64  `json:"wait_ms,omitempty"`
+	}{workerID, wait.Milliseconds()}, &l)
 	if err != nil {
 		if isAPIStatus(err, http.StatusForbidden) {
 			return nil, ErrQuarantined
@@ -367,7 +370,7 @@ func isAPIStatus(err error, status int) bool {
 // leaseOp posts one lease lifecycle call, translating 410 to
 // ErrLeaseGone.
 func (c *Client) leaseOp(ctx context.Context, leaseID, op, workerID, msg string) error {
-	_, err := c.do(ctx, http.MethodPost, "/leases/"+leaseID+"/"+op, struct {
+	_, err := c.do(ctx, http.MethodPost, "/v1/dist/leases/"+leaseID+"/"+op, struct {
 		WorkerID string `json:"worker_id"`
 		Error    string `json:"error,omitempty"`
 	}{workerID, msg}, nil)
@@ -399,7 +402,7 @@ func (c *Client) SubmitPoint(ctx context.Context, sweepID, workerID string, res 
 	var v struct {
 		Duplicate bool `json:"duplicate"`
 	}
-	_, err = c.do(ctx, http.MethodPost, "/sweeps/"+sweepID+"/points", struct {
+	_, err = c.do(ctx, http.MethodPost, "/v1/dist/sweeps/"+sweepID+"/points", struct {
 		WorkerID string            `json:"worker_id"`
 		Result   sweep.PointResult `json:"result"`
 	}{workerID, res}, &v)

@@ -106,7 +106,7 @@ func TestClientMapsSentinelStatuses(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL)
 	c.Retry = fastRetry
-	if _, err := c.Acquire(context.Background(), "w-1"); !errors.Is(err, ErrQuarantined) {
+	if _, err := c.Acquire(context.Background(), "w-1", 0); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("403 acquire: %v, want ErrQuarantined", err)
 	}
 	if err := c.Renew(context.Background(), "lease-1", "w-1"); !errors.Is(err, ErrLeaseGone) {
@@ -121,7 +121,7 @@ func TestClientAcquireNoWork(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := NewClient(srv.URL)
 	c.Retry = fastRetry
-	l, err := c.Acquire(context.Background(), "w-1")
+	l, err := c.Acquire(context.Background(), "w-1", 0)
 	if err != nil || l != nil {
 		t.Fatalf("idle acquire = %v, %v; want nil, nil", l, err)
 	}

@@ -1,22 +1,24 @@
-// Package dist is the distributed sweep-execution subsystem: a
-// Coordinator partitions a sweep.Spec grid into shards and hands them
-// to remote workers as time-bounded leases over HTTP (see Handler),
-// while a Worker (cmd/iprefetchworker) pulls leases, runs points on a
-// local sim.Engine, streams completed points back, and renews its
-// lease heartbeat. Every returned point persists through the same
-// content-addressed sweep.Journal the local runner uses, so an expired
-// lease (worker crash, network partition, missed heartbeat) is simply
-// reinjected for other workers and a restarted coordinator resumes
-// from the journal with zero lost and zero doubly-counted points.
-// Point submission is idempotent (dedup by canonical point key), and
-// workers that keep failing are quarantined so one bad host cannot
-// starve a sweep.
+// Package dist is the sweep-execution subsystem: a Coordinator owns
+// every sweep's state, partitions its grid into shards and hands them
+// out as time-bounded leases, while a Worker pulls leases, runs points
+// on a sim.Engine, streams completed points back, and renews its lease
+// heartbeat. A Worker speaks the lease protocol through an Endpoint:
+// a *Client over HTTP (cmd/iprefetchworker, see Handler) or the
+// *Coordinator itself, which is how the daemon runs its own sweeps in
+// process. Every returned point persists through the coordinator's
+// content-addressed sweep.Journal, so an expired lease (worker crash,
+// network partition, missed heartbeat) is simply reinjected for other
+// workers and a restarted coordinator resumes from the journal with
+// zero lost and zero doubly-counted points. Point submission is
+// idempotent (dedup by canonical point key), and workers that keep
+// failing are quarantined so one bad host cannot starve a sweep.
 package dist
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -41,6 +43,10 @@ var (
 	// ErrUnknownPoint means a submitted result's key does not belong to
 	// the sweep's grid (400).
 	ErrUnknownPoint = errors.New("dist: result key not in sweep grid")
+	// ErrFenced means another process has taken over the journal, so
+	// this coordinator may no longer record points (409). Config.Fence
+	// returns it.
+	ErrFenced = errors.New("dist: journal ownership superseded")
 )
 
 // Config sizes the coordinator. Zero values take the stated defaults.
@@ -48,8 +54,9 @@ type Config struct {
 	// LeaseTTL is how long a lease lives between heartbeats; an
 	// unrenewed lease past its TTL is reinjected. Default 30s.
 	LeaseTTL time.Duration
-	// ShardSize is the maximum number of grid points per lease.
-	// Default 4.
+	// ShardSize is the maximum number of cold grid points per lease.
+	// A fork-warm warm group is always leased whole, whatever its size,
+	// so its warm phase runs once. Default 4.
 	ShardSize int
 	// MaxWorkerFailures quarantines a worker after this many
 	// consecutive lease failures or expirations. Default 3.
@@ -59,10 +66,13 @@ type Config struct {
 	MaxPointFailures int
 	// JournalDir roots the per-sweep checkpoint journals
 	// (<JournalDir>/<sweep-id>); empty disables persistence (and with
-	// it restart resume). The service layer points this at the same
-	// directory local sweeps journal to, so a sweep started locally can
-	// finish distributed and vice versa.
+	// it restart resume).
 	JournalDir string
+	// ArtifactDir, when set, receives each completed sweep's rendered
+	// artifacts (<ArtifactDir>/<sweep-id>/<name>) before the sweep
+	// reads as completed, and Artifact serves them from there for
+	// sweeps this coordinator does not hold in memory.
+	ArtifactDir string
 	// DefaultWarmInstrs / DefaultMeasureInstrs / DefaultSeed are the
 	// engine budgets used when a spec leaves them zero. Defaults
 	// 1.5M / 3M / 1.
@@ -71,29 +81,31 @@ type Config struct {
 	DefaultSeed          uint64
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// NormalizeSpec, when non-nil, rewrites a submitted spec before
-	// validation — the service layer uses it to expand
-	// corpus:select(...) workload axes into pinned trace:<id> lists, so
-	// grid points and the content-derived sweep ID never depend on the
-	// executing machine's corpus contents.
-	NormalizeSpec func(*sweep.Spec) error
+	// Fence, when non-nil, guards every journal write: it runs write
+	// only while this coordinator still owns the journal, and returns
+	// ErrFenced without running it once another process has taken
+	// over. A fenced point is neither journaled nor counted, and its
+	// sweep is canceled here. Called with the coordinator lock held.
+	Fence func(write func() error) error
 	// OnEvent, when non-nil, receives progress notifications
-	// ("shard-leased", "point-completed", "sweep-completed",
-	// "sweep-failed") keyed by sweep id; the service layer fans them
-	// out to SSE subscribers. Called with the coordinator lock held —
-	// the hook must be fast and must not call back into the
-	// coordinator.
+	// ("shard-leased", "point-completed", "artifact-ready",
+	// "sweep-completed", "sweep-failed", "sweep-canceled") keyed by
+	// sweep id; the service layer fans them out to SSE subscribers.
+	// Called with the coordinator lock held — the hook must be fast and
+	// must not call back into the coordinator.
 	OnEvent func(sweepID, typ string, data any)
 }
 
-// SweepState is the lifecycle of a distributed sweep.
+// SweepState is the lifecycle of a sweep.
 type SweepState string
 
-// Distributed sweep lifecycle states.
+// Sweep lifecycle states. A canceled sweep keeps its journal, and
+// submitting its spec again resumes it.
 const (
 	SweepRunning   SweepState = "running"
 	SweepCompleted SweepState = "completed"
 	SweepFailed    SweepState = "failed"
+	SweepCanceled  SweepState = "canceled"
 )
 
 // point execution states.
@@ -105,7 +117,7 @@ const (
 	pointDone
 )
 
-// distSweep is one distributed sweep; mutable fields are guarded by
+// distSweep is one sweep; mutable fields are guarded by
 // Coordinator.mu.
 type distSweep struct {
 	id      string
@@ -117,6 +129,7 @@ type distSweep struct {
 
 	points   []sweep.Point
 	keys     []string // canonical key per point, grid order
+	groups   []string // warm key per fork-warm point, "" for cold ones
 	byKey    map[string]int
 	state    []pointState
 	failures []int // lost-lease count per point
@@ -143,6 +156,11 @@ type worker struct {
 	points       uint64 // completed point submissions
 	failures     int    // consecutive lease failures/expirations
 	quarantined  bool
+	// inProcess marks a Worker running in the coordinator's own process:
+	// the daemon's executor for its own sweeps. Quarantining it would
+	// stop the daemon's sweeps, and a point it fails failed on the
+	// daemon's own engines, so Fail fails that sweep at once.
+	inProcess bool
 }
 
 // lease is one outstanding shard grant; guarded by Coordinator.mu.
@@ -155,14 +173,15 @@ type lease struct {
 }
 
 // Coordinator owns the shard queue and lease table for any number of
-// distributed sweeps. All methods are safe for concurrent use. Lease
-// expiry is evaluated lazily on every public entry point, so the
-// coordinator needs no background goroutine: any polling worker (or a
-// progress probe) drives reinjection.
+// sweeps. All methods are safe for concurrent use. Lease expiry is
+// evaluated lazily on every public entry point, so the coordinator
+// needs no background goroutine: any acquiring worker (or a progress
+// probe) drives reinjection.
 type Coordinator struct {
 	cfg Config
 
 	mu         sync.Mutex
+	wake       chan struct{} // closed when pending work appears
 	sweeps     map[string]*distSweep
 	order      []string // sweep ids in submission order (lease fairness)
 	workers    map[string]*worker
@@ -188,6 +207,7 @@ type counters struct {
 	sweepsSubmitted    uint64
 	sweepsCompleted    uint64
 	sweepsFailed       uint64
+	sweepsCanceled     uint64
 }
 
 // New returns a coordinator with cfg's defaults applied.
@@ -215,6 +235,7 @@ func New(cfg Config) *Coordinator {
 	}
 	return &Coordinator{
 		cfg:     cfg,
+		wake:    make(chan struct{}),
 		sweeps:  make(map[string]*distSweep),
 		workers: make(map[string]*worker),
 		leases:  make(map[string]*lease),
@@ -234,16 +255,12 @@ func (c *Coordinator) event(sweepID, typ string, data any) {
 	}
 }
 
-// SetOnEvent installs the progress hook after construction (the
-// service layer builds its broker after the coordinator). Not safe to
-// race with live traffic; call before serving.
-func (c *Coordinator) SetOnEvent(fn func(sweepID, typ string, data any)) {
-	c.cfg.OnEvent = fn
+// notifyLocked wakes every Acquire waiting for work. Caller must hold
+// c.mu.
+func (c *Coordinator) notifyLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
-
-// LeaseTTL returns the configured lease lifetime (workers derive their
-// heartbeat cadence from it).
-func (c *Coordinator) LeaseTTL() time.Duration { return c.cfg.LeaseTTL }
 
 // WorkerView is the wire form of a registration.
 type WorkerView struct {
@@ -253,9 +270,15 @@ type WorkerView struct {
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
 }
 
-// RegisterWorker admits a worker and returns its id and the lease TTL
-// it must heartbeat within.
-func (c *Coordinator) RegisterWorker(name string) WorkerView {
+// Register admits a worker and returns its id and the lease TTL it
+// must heartbeat within.
+func (c *Coordinator) Register(_ context.Context, name string) (WorkerView, error) {
+	return c.register(name, false), nil
+}
+
+// register admits a worker; a Worker whose endpoint is this
+// coordinator registers with inProcess set.
+func (c *Coordinator) register(name string, inProcess bool) WorkerView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(time.Now())
@@ -265,6 +288,7 @@ func (c *Coordinator) RegisterWorker(name string) WorkerView {
 		name:         name,
 		registeredAt: time.Now(),
 		lastSeen:     time.Now(),
+		inProcess:    inProcess,
 	}
 	c.workers[w.id] = w
 	c.metrics.workersRegistered++
@@ -272,7 +296,7 @@ func (c *Coordinator) RegisterWorker(name string) WorkerView {
 	return WorkerView{ID: w.id, LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds()}
 }
 
-// SweepView is the wire form of a distributed sweep's progress.
+// SweepView is the wire form of a sweep's progress.
 type SweepView struct {
 	ID        string     `json:"id"`
 	State     SweepState `json:"state"`
@@ -281,8 +305,11 @@ type SweepView struct {
 	Total     int        `json:"total_points"`
 	Completed int        `json:"completed_points"`
 	Recovered int        `json:"recovered_points"`
-	Pending   int        `json:"pending_points"`
-	Leased    int        `json:"leased_points"`
+	// Resumed reports that some points were replayed from a previous
+	// run's journal instead of simulated.
+	Resumed bool `json:"resumed,omitempty"`
+	Pending int  `json:"pending_points"`
+	Leased  int  `json:"leased_points"`
 	// Budgets echo the engine budgets every worker must run points
 	// under.
 	WarmInstrs    uint64     `json:"warm_instrs"`
@@ -290,20 +317,17 @@ type SweepView struct {
 	Seed          uint64     `json:"seed"`
 	SubmittedAt   time.Time  `json:"submitted_at"`
 	FinishedAt    *time.Time `json:"finished_at,omitempty"`
-	Artifacts     []string   `json:"artifacts,omitempty"`
+	// Artifacts lists the downloadable artifact names once the sweep
+	// completes (GET /v1/sweeps/{id}/artifacts/{name}).
+	Artifacts []string `json:"artifacts,omitempty"`
 }
 
-// Submit registers a sweep for distributed execution: the grid expands,
-// journaled points are replayed immediately (zero recompute on
-// coordinator restart), and the remainder queues for leasing. Identity
-// is content-derived, so resubmitting an identical spec attaches to the
-// existing sweep.
+// Submit registers a sweep: the grid expands, journaled points are
+// replayed immediately (zero recompute on coordinator restart), and the
+// remainder queues for leasing. Identity is content-derived, so
+// resubmitting an identical spec attaches to the existing sweep, unless
+// that sweep was canceled, in which case it resumes from its journal.
 func (c *Coordinator) Submit(spec sweep.Spec) (SweepView, error) {
-	if c.cfg.NormalizeSpec != nil {
-		if err := c.cfg.NormalizeSpec(&spec); err != nil {
-			return SweepView{}, err
-		}
-	}
 	if err := spec.Validate(); err != nil {
 		return SweepView{}, err
 	}
@@ -326,8 +350,9 @@ func (c *Coordinator) Submit(spec sweep.Spec) (SweepView, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(time.Now())
-	if ds, ok := c.sweeps[id]; ok {
-		return c.viewLocked(ds), nil
+	prev, known := c.sweeps[id]
+	if known && prev.sstate != SweepCanceled {
+		return c.viewLocked(prev), nil
 	}
 
 	ds := &distSweep{
@@ -335,6 +360,7 @@ func (c *Coordinator) Submit(spec sweep.Spec) (SweepView, error) {
 		warm: warm, measure: measure, seed: seed,
 		points:      points,
 		keys:        make([]string, len(points)),
+		groups:      make([]string, len(points)),
 		byKey:       make(map[string]int, len(points)),
 		state:       make([]pointState, len(points)),
 		failures:    make([]int, len(points)),
@@ -350,6 +376,10 @@ func (c *Coordinator) Submit(spec sweep.Spec) (SweepView, error) {
 		}
 		ds.keys[i] = key
 		ds.byKey[key] = i
+		if p.ForkWarm {
+			rs, _ := p.RunSpec() // Key resolved it already
+			ds.groups[i] = rs.WarmKey()
+		}
 	}
 	if c.cfg.JournalDir != "" {
 		j, err := sweep.OpenJournal(filepath.Join(c.cfg.JournalDir, id))
@@ -375,10 +405,15 @@ func (c *Coordinator) Submit(spec sweep.Spec) (SweepView, error) {
 		}
 	}
 	c.sweeps[id] = ds
-	c.order = append(c.order, id)
+	if !known {
+		c.order = append(c.order, id)
+	}
 	c.metrics.sweepsSubmitted++
 	c.logf("dist: sweep %s submitted: %d points (%d recovered from journal, %d to lease)",
 		id, len(points), ds.recovered, len(ds.pending))
+	if len(ds.pending) > 0 {
+		c.notifyLocked()
+	}
 	c.maybeFinishLocked(ds)
 	return c.viewLocked(ds), nil
 }
@@ -395,12 +430,37 @@ type Lease struct {
 	TTLMS         int64         `json:"ttl_ms"`
 }
 
-// Acquire grants the next shard of pending points to the worker, or
-// returns (nil, nil) when no sweep has pending work.
-func (c *Coordinator) Acquire(workerID string) (*Lease, error) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// Acquire grants the next shard of pending points to the worker. When
+// no sweep has pending work it waits up to wait for a submission or a
+// reinjection to bring some, and returns (nil, nil) if none comes.
+func (c *Coordinator) Acquire(ctx context.Context, workerID string, wait time.Duration) (*Lease, error) {
+	var timeout <-chan time.Time
+	for {
+		c.mu.Lock()
+		l, err := c.acquireLocked(workerID, time.Now())
+		wake := c.wake
+		c.mu.Unlock()
+		if l != nil || err != nil || wait <= 0 {
+			return l, err
+		}
+		if timeout == nil {
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-wake:
+		case <-timeout:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// acquireLocked grants the next shard, or nil when no sweep has
+// pending work. Caller must hold c.mu.
+func (c *Coordinator) acquireLocked(workerID string, now time.Time) (*Lease, error) {
 	c.expireLocked(now)
 	w, ok := c.workers[workerID]
 	if !ok {
@@ -415,12 +475,7 @@ func (c *Coordinator) Acquire(workerID string) (*Lease, error) {
 		if ds.sstate != SweepRunning || len(ds.pending) == 0 {
 			continue
 		}
-		n := c.cfg.ShardSize
-		if n > len(ds.pending) {
-			n = len(ds.pending)
-		}
-		idxs := append([]int(nil), ds.pending[:n]...)
-		ds.pending = ds.pending[n:]
+		idxs := c.shardLocked(ds)
 		c.nextLease++
 		l := &lease{
 			id:       fmt.Sprintf("lease-%06d", c.nextLease),
@@ -429,7 +484,7 @@ func (c *Coordinator) Acquire(workerID string) (*Lease, error) {
 			points:   idxs,
 			expires:  now.Add(c.cfg.LeaseTTL),
 		}
-		pts := make([]sweep.Point, 0, n)
+		pts := make([]sweep.Point, 0, len(idxs))
 		for _, i := range idxs {
 			ds.state[i] = pointLeased
 			pts = append(pts, ds.points[i])
@@ -449,8 +504,27 @@ func (c *Coordinator) Acquire(workerID string) (*Lease, error) {
 	return nil, nil
 }
 
+// shardLocked takes the next lease's points off the sweep's pending
+// queue: the head point's whole warm group when it is fork-warm (a
+// group split across leases would run its warm phase once per lease),
+// else up to ShardSize cold points in queue order. Caller must hold
+// c.mu.
+func (c *Coordinator) shardLocked(ds *distSweep) []int {
+	group := ds.groups[ds.pending[0]]
+	var take, keep []int
+	for _, i := range ds.pending {
+		if ds.groups[i] == group && (group != "" || len(take) < c.cfg.ShardSize) {
+			take = append(take, i)
+		} else {
+			keep = append(keep, i)
+		}
+	}
+	ds.pending = keep
+	return take
+}
+
 // Renew extends a live lease by one TTL (the worker heartbeat).
-func (c *Coordinator) Renew(leaseID, workerID string) error {
+func (c *Coordinator) Renew(_ context.Context, leaseID, workerID string) error {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -470,8 +544,10 @@ func (c *Coordinator) Renew(leaseID, workerID string) error {
 // idempotent and lease-independent: a result keyed into the grid is
 // journaled and counted exactly once no matter how many workers (or
 // retries) deliver it, and a worker whose lease already expired still
-// contributes its finished work.
-func (c *Coordinator) SubmitPoint(sweepID, workerID string, res sweep.PointResult) (duplicate bool, err error) {
+// contributes its finished work. Once Config.Fence reports that another
+// process owns the journal, it returns ErrFenced, records nothing, and
+// forgets the sweep, whose state now lives in the new owner's journal.
+func (c *Coordinator) SubmitPoint(_ context.Context, sweepID, workerID string, res sweep.PointResult) (duplicate bool, err error) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -494,7 +570,18 @@ func (c *Coordinator) SubmitPoint(sweepID, workerID string, res sweep.PointResul
 	res.Point = ds.points[i] // canonical grid point, not the worker's echo
 	res.Recovered = false
 	if ds.journal != nil {
-		if err := ds.journal.Put(res); err != nil {
+		put := func() error { return ds.journal.Put(res) }
+		if c.cfg.Fence != nil {
+			err = c.cfg.Fence(put)
+		} else {
+			err = put()
+		}
+		if errors.Is(err, ErrFenced) {
+			c.endSweepLocked(ds, SweepCanceled, err.Error())
+			c.forgetLocked(sweepID)
+			return false, err
+		}
+		if err != nil {
 			// A lost checkpoint costs recomputation after a restart, not
 			// correctness; log and keep the in-memory result.
 			c.logf("dist: sweep %s: checkpoint point %d: %v", sweepID, i, err)
@@ -526,7 +613,7 @@ func (c *Coordinator) SubmitPoint(sweepID, workerID string, res sweep.PointResul
 // Complete closes a lease whose points were all submitted. Any point
 // the worker failed to deliver is reinjected. A completed lease resets
 // the worker's failure streak.
-func (c *Coordinator) Complete(leaseID, workerID string) error {
+func (c *Coordinator) Complete(_ context.Context, leaseID, workerID string) error {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -549,7 +636,8 @@ func (c *Coordinator) Complete(leaseID, workerID string) error {
 // reinject immediately (no need to wait for expiry) and the worker's
 // failure streak grows, quarantining it past the budget. A point that
 // keeps getting lost fails the whole sweep rather than looping forever.
-func (c *Coordinator) Fail(leaseID, workerID, reason string) error {
+// A lease failed by an in-process worker fails its sweep with reason.
+func (c *Coordinator) Fail(_ context.Context, leaseID, workerID, reason string) error {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -561,6 +649,12 @@ func (c *Coordinator) Fail(leaseID, workerID, reason string) error {
 	delete(c.leases, leaseID)
 	c.metrics.leasesFailed++
 	c.logf("dist: lease %s failed by %s: %s", leaseID, workerID, reason)
+	if w, ok := c.workers[workerID]; ok && w.inProcess {
+		if ds, ok := c.sweeps[l.sweepID]; ok {
+			c.endSweepLocked(ds, SweepFailed, reason)
+		}
+		return nil
+	}
 	c.chargePointsLocked(l, reason)
 	c.chargeWorkerLocked(workerID)
 	return nil
@@ -582,11 +676,12 @@ func (c *Coordinator) expireLocked(now time.Time) {
 }
 
 // reinjectLocked returns a lease's unfinished points to the pending
-// queue. Caller must hold c.mu.
-func (c *Coordinator) reinjectLocked(l *lease) int {
+// queue of a running sweep and wakes idle workers. Caller must hold
+// c.mu.
+func (c *Coordinator) reinjectLocked(l *lease) {
 	ds, ok := c.sweeps[l.sweepID]
-	if !ok {
-		return 0
+	if !ok || ds.sstate != SweepRunning {
+		return
 	}
 	n := 0
 	for _, i := range l.points {
@@ -598,7 +693,9 @@ func (c *Coordinator) reinjectLocked(l *lease) int {
 		c.metrics.pointsReinjected++
 		n++
 	}
-	return n
+	if n > 0 {
+		c.notifyLocked()
+	}
 }
 
 // chargePointsLocked reinjects a lost lease's points and fails the
@@ -614,8 +711,8 @@ func (c *Coordinator) chargePointsLocked(l *lease, reason string) {
 			continue
 		}
 		ds.failures[i]++
-		if ds.failures[i] >= c.cfg.MaxPointFailures && ds.sstate == SweepRunning {
-			c.failSweepLocked(ds, fmt.Sprintf("point %d lost %d times (last: %s)", i, ds.failures[i], reason))
+		if ds.failures[i] >= c.cfg.MaxPointFailures {
+			c.endSweepLocked(ds, SweepFailed, fmt.Sprintf("point %d lost %d times (last: %s)", i, ds.failures[i], reason))
 		}
 	}
 	c.reinjectLocked(l)
@@ -625,7 +722,7 @@ func (c *Coordinator) chargePointsLocked(l *lease, reason string) {
 // it past the budget. Caller must hold c.mu.
 func (c *Coordinator) chargeWorkerLocked(workerID string) {
 	w, ok := c.workers[workerID]
-	if !ok || w.quarantined {
+	if !ok || w.quarantined || w.inProcess {
 		return
 	}
 	w.failures++
@@ -636,24 +733,60 @@ func (c *Coordinator) chargeWorkerLocked(workerID string) {
 	}
 }
 
-// failSweepLocked moves a sweep to the failed state and drops its
-// queue. Caller must hold c.mu.
-func (c *Coordinator) failSweepLocked(ds *distSweep, msg string) {
-	ds.sstate = SweepFailed
+// endSweepLocked moves a running sweep to the failed or canceled state
+// and drops its queue. Canceling also revokes the sweep's leases, so
+// their workers abandon the shards at the next heartbeat. Caller must
+// hold c.mu.
+func (c *Coordinator) endSweepLocked(ds *distSweep, state SweepState, msg string) {
+	if ds.sstate != SweepRunning {
+		return
+	}
+	ds.sstate = state
 	ds.errMsg = msg
 	ds.pending = nil
 	ds.finishedAt = time.Now()
+	if state == SweepCanceled {
+		c.metrics.sweepsCanceled++
+		for id, l := range c.leases {
+			if l.sweepID == ds.id {
+				delete(c.leases, id)
+			}
+		}
+	} else {
+		c.metrics.sweepsFailed++
+	}
 	close(ds.done)
-	c.metrics.sweepsFailed++
-	c.event(ds.id, "sweep-failed", map[string]any{
+	c.event(ds.id, "sweep-"+string(state), map[string]any{
 		"error": msg, "completed": ds.completed, "total": len(ds.points),
 	})
-	c.logf("dist: sweep %s failed: %s", ds.id, msg)
+	c.logf("dist: sweep %s %s: %s", ds.id, state, msg)
+}
+
+// forgetLocked drops an ended sweep from memory, so reads of it fall
+// back to the shared journal and ArtifactDir. Caller must hold c.mu.
+func (c *Coordinator) forgetLocked(id string) {
+	delete(c.sweeps, id)
+	for i, oid := range c.order {
+		if oid == id {
+			c.order = append(c.order[:i], c.order[i+1:]...)
+			break
+		}
+	}
+}
+
+// CancelRunning cancels every running sweep (see endSweepLocked); a
+// daemon calls it once its workers have stopped at shutdown.
+func (c *Coordinator) CancelRunning(reason string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ds := range c.sweeps {
+		c.endSweepLocked(ds, SweepCanceled, reason)
+	}
 }
 
 // maybeFinishLocked completes the sweep once every point is done,
-// rendering the same artifacts the local sweep path exports. Caller
-// must hold c.mu.
+// rendering its artifacts (and persisting them, with ArtifactDir set)
+// before the completed state is visible. Caller must hold c.mu.
 func (c *Coordinator) maybeFinishLocked(ds *distSweep) {
 	if ds.sstate != SweepRunning || ds.completed != len(ds.points) {
 		return
@@ -665,6 +798,7 @@ func (c *Coordinator) maybeFinishLocked(ds *distSweep) {
 		Simulated: ds.completed - ds.recovered,
 	}
 	ds.artifacts = out.Artifact().Files()
+	c.persistArtifacts(ds.id, ds.artifacts)
 	ds.sstate = SweepCompleted
 	ds.finishedAt = time.Now()
 	close(ds.done)
@@ -697,6 +831,7 @@ func (c *Coordinator) viewLocked(ds *distSweep) SweepView {
 		Total:         len(ds.points),
 		Completed:     ds.completed,
 		Recovered:     ds.recovered,
+		Resumed:       ds.recovered > 0,
 		Pending:       len(ds.pending),
 		Leased:        leased,
 		WarmInstrs:    ds.warm,
@@ -757,17 +892,40 @@ func (c *Coordinator) Wait(ctx context.Context, id string) (SweepView, error) {
 	return c.viewLocked(ds), nil
 }
 
-// Artifact returns one rendered artifact of a completed sweep.
+// Artifact returns one rendered artifact of a completed sweep: from
+// memory, or from ArtifactDir for a sweep a peer process or an earlier
+// run completed.
 func (c *Coordinator) Artifact(id, name string) (data []byte, contentType string, ok bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	ds, found := c.sweeps[id]
-	if !found || ds.artifacts == nil {
-		return nil, "", false
+	if ds, found := c.sweeps[id]; found {
+		data, ok = ds.artifacts[name]
 	}
-	data, ok = ds.artifacts[name]
+	c.mu.Unlock()
+	if !ok && c.cfg.ArtifactDir != "" && name == filepath.Base(name) && name != "" && name[0] != '.' {
+		var err error
+		data, err = os.ReadFile(filepath.Join(c.cfg.ArtifactDir, id, name))
+		ok = err == nil
+	}
 	if !ok {
 		return nil, "", false
 	}
 	return data, sweep.ArtifactContentType(name), true
+}
+
+// persistArtifacts writes a completed sweep's artifacts under
+// ArtifactDir, if set.
+func (c *Coordinator) persistArtifacts(id string, artifacts map[string][]byte) {
+	if c.cfg.ArtifactDir == "" {
+		return
+	}
+	dir := filepath.Join(c.cfg.ArtifactDir, id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		c.logf("dist: sweep %s: persist artifacts: %v", id, err)
+		return
+	}
+	for name, data := range artifacts {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			c.logf("dist: sweep %s: persist %s: %v", id, name, err)
+		}
+	}
 }

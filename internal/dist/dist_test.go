@@ -43,12 +43,22 @@ func fakeResult(t *testing.T, p sweep.Point, warm, measure, seed uint64) sweep.P
 	}
 }
 
+// register admits a worker on the in-process endpoint.
+func register(t *testing.T, c *Coordinator, name string) WorkerView {
+	t.Helper()
+	w, err := c.Register(context.Background(), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // drain acquires and fabricates results until the coordinator has no
 // pending work, completing every lease.
 func drain(t *testing.T, c *Coordinator, workerID string) {
 	t.Helper()
 	for {
-		l, err := c.Acquire(workerID)
+		l, err := c.Acquire(context.Background(), workerID, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,11 +66,11 @@ func drain(t *testing.T, c *Coordinator, workerID string) {
 			return
 		}
 		for _, p := range l.Points {
-			if _, err := c.SubmitPoint(l.SweepID, workerID, fakeResult(t, p, l.WarmInstrs, l.MeasureInstrs, l.Seed)); err != nil {
+			if _, err := c.SubmitPoint(context.Background(), l.SweepID, workerID, fakeResult(t, p, l.WarmInstrs, l.MeasureInstrs, l.Seed)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := c.Complete(l.ID, workerID); err != nil {
+		if err := c.Complete(context.Background(), l.ID, workerID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +111,7 @@ func TestLeaseLifecycleCompletesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.RegisterWorker("unit")
+	w := register(t, c, "unit")
 	drain(t, c, w.ID)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -133,16 +143,16 @@ func TestSubmitPointIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.RegisterWorker("unit")
-	l, err := c.Acquire(w.ID)
+	w := register(t, c, "unit")
+	l, err := c.Acquire(context.Background(), w.ID, 0)
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %v %v", l, err)
 	}
 	res := fakeResult(t, l.Points[0], l.WarmInstrs, l.MeasureInstrs, l.Seed)
-	if dup, err := c.SubmitPoint(l.SweepID, w.ID, res); err != nil || dup {
+	if dup, err := c.SubmitPoint(context.Background(), l.SweepID, w.ID, res); err != nil || dup {
 		t.Fatalf("first delivery: dup=%v err=%v", dup, err)
 	}
-	if dup, err := c.SubmitPoint(l.SweepID, w.ID, res); err != nil || !dup {
+	if dup, err := c.SubmitPoint(context.Background(), l.SweepID, w.ID, res); err != nil || !dup {
 		t.Fatalf("second delivery: dup=%v err=%v, want acknowledged duplicate", dup, err)
 	}
 	got, _ := c.Sweep(v.ID)
@@ -160,12 +170,12 @@ func TestSubmitPointRejectsUnknownKeyAndSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.RegisterWorker("unit")
+	w := register(t, c, "unit")
 	bogus := sweep.PointResult{Key: "not|a|grid|key", IPC: 1}
-	if _, err := c.SubmitPoint(v.ID, w.ID, bogus); !errors.Is(err, ErrUnknownPoint) {
+	if _, err := c.SubmitPoint(context.Background(), v.ID, w.ID, bogus); !errors.Is(err, ErrUnknownPoint) {
 		t.Fatalf("foreign key accepted: %v", err)
 	}
-	if _, err := c.SubmitPoint("no-such-sweep", w.ID, bogus); !errors.Is(err, ErrUnknownSweep) {
+	if _, err := c.SubmitPoint(context.Background(), "no-such-sweep", w.ID, bogus); !errors.Is(err, ErrUnknownSweep) {
 		t.Fatalf("unknown sweep accepted: %v", err)
 	}
 }
@@ -176,8 +186,8 @@ func TestExpiredLeaseReinjectsAndLateResultStillCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.RegisterWorker("slow")
-	l, err := c.Acquire(w.ID)
+	w := register(t, c, "slow")
+	l, err := c.Acquire(context.Background(), w.ID, 0)
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %v %v", l, err)
 	}
@@ -191,14 +201,14 @@ func TestExpiredLeaseReinjectsAndLateResultStillCounts(t *testing.T) {
 	if s.LeasesExpired != 1 || s.PointsReinjected != uint64(len(l.Points)) {
 		t.Fatalf("expiry counters off: %+v", s)
 	}
-	if err := c.Renew(l.ID, w.ID); !errors.Is(err, ErrLeaseGone) {
+	if err := c.Renew(context.Background(), l.ID, w.ID); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("renewing an expired lease: %v, want ErrLeaseGone", err)
 	}
 
 	// The slow worker finished a point anyway: idempotent submission is
 	// lease-independent, so the work is kept and leaves the queue.
 	res := fakeResult(t, l.Points[0], l.WarmInstrs, l.MeasureInstrs, l.Seed)
-	if dup, err := c.SubmitPoint(l.SweepID, w.ID, res); err != nil || dup {
+	if dup, err := c.SubmitPoint(context.Background(), l.SweepID, w.ID, res); err != nil || dup {
 		t.Fatalf("late delivery: dup=%v err=%v", dup, err)
 	}
 	got, _ = c.Sweep(v.ID)
@@ -208,7 +218,7 @@ func TestExpiredLeaseReinjectsAndLateResultStillCounts(t *testing.T) {
 
 	// A fresh worker draining afterwards must see each remaining point
 	// exactly once.
-	w2 := c.RegisterWorker("fresh")
+	w2 := register(t, c, "fresh")
 	drain(t, c, w2.ID)
 	final, _ := c.Sweep(v.ID)
 	if final.State != SweepCompleted || final.Completed != v.Total {
@@ -225,14 +235,14 @@ func TestRenewKeepsLeaseAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.RegisterWorker("heartbeat")
-	l, err := c.Acquire(w.ID)
+	w := register(t, c, "heartbeat")
+	l, err := c.Acquire(context.Background(), w.ID, 0)
 	if err != nil || l == nil {
 		t.Fatalf("acquire: %v %v", l, err)
 	}
 	for i := 0; i < 4; i++ {
 		time.Sleep(50 * time.Millisecond)
-		if err := c.Renew(l.ID, w.ID); err != nil {
+		if err := c.Renew(context.Background(), l.ID, w.ID); err != nil {
 			t.Fatalf("renew %d: %v", i, err)
 		}
 	}
@@ -246,24 +256,24 @@ func TestRepeatedFailuresQuarantineWorker(t *testing.T) {
 	if _, err := c.Submit(testSpec()); err != nil {
 		t.Fatal(err)
 	}
-	bad := c.RegisterWorker("bad")
+	bad := register(t, c, "bad")
 	for i := 0; i < 2; i++ {
-		l, err := c.Acquire(bad.ID)
+		l, err := c.Acquire(context.Background(), bad.ID, 0)
 		if err != nil || l == nil {
 			t.Fatalf("acquire %d: %v %v", i, l, err)
 		}
-		if err := c.Fail(l.ID, bad.ID, "synthetic"); err != nil {
+		if err := c.Fail(context.Background(), l.ID, bad.ID, "synthetic"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Acquire(bad.ID); !errors.Is(err, ErrQuarantined) {
+	if _, err := c.Acquire(context.Background(), bad.ID, 0); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("third acquire after 2 failures: %v, want ErrQuarantined", err)
 	}
 	if s := c.Snapshot(); s.WorkersQuarantined != 1 {
 		t.Fatalf("quarantine not counted: %+v", s)
 	}
 	// The sweep itself is unharmed: another worker drains it.
-	good := c.RegisterWorker("good")
+	good := register(t, c, "good")
 	drain(t, c, good.ID)
 	if s := c.Snapshot(); s.SweepsCompleted != 1 {
 		t.Fatalf("sweep did not survive a quarantined worker: %+v", s)
@@ -276,18 +286,18 @@ func TestPointRetryBudgetFailsSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.RegisterWorker("cursed")
+	w := register(t, c, "cursed")
 	// ShardSize 1 and a FIFO queue: failing the head point reinjects it
 	// at the tail, so fail total+1 leases to lose one point twice.
 	for i := 0; i <= v.Total; i++ {
-		l, err := c.Acquire(w.ID)
+		l, err := c.Acquire(context.Background(), w.ID, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if l == nil {
 			break // sweep already failed and dropped its queue
 		}
-		if err := c.Fail(l.ID, w.ID, "synthetic"); err != nil {
+		if err := c.Fail(context.Background(), l.ID, w.ID, "synthetic"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,7 +310,7 @@ func TestPointRetryBudgetFailsSweep(t *testing.T) {
 	if final.State != SweepFailed || final.Error == "" {
 		t.Fatalf("sweep = %s (%q), want failed with a reason", final.State, final.Error)
 	}
-	if l, err := c.Acquire(w.ID); err != nil || l != nil {
+	if l, err := c.Acquire(context.Background(), w.ID, 0); err != nil || l != nil {
 		t.Fatalf("failed sweep still leases work: %v %v", l, err)
 	}
 }
@@ -314,7 +324,7 @@ func TestRestartResumesFromJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := a.RegisterWorker("first-life")
+	w := register(t, a, "first-life")
 	drain(t, a, w.ID)
 
 	// "Restart": a brand-new coordinator over the same journal root sees
@@ -343,7 +353,7 @@ func TestWritePromIncludesWorkerSeries(t *testing.T) {
 	if _, err := c.Submit(testSpec()); err != nil {
 		t.Fatal(err)
 	}
-	w := c.RegisterWorker("prom-worker")
+	w := register(t, c, "prom-worker")
 	drain(t, c, w.ID)
 
 	var buf bytes.Buffer
@@ -360,5 +370,146 @@ func TestWritePromIncludesWorkerSeries(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestLeasesFollowWarmGroups: a fork-warm sweep leases each warm group
+// whole, even past ShardSize, and a failed lease's group comes back
+// whole too, so every group warms once per lease.
+func TestLeasesFollowWarmGroups(t *testing.T) {
+	ctx := context.Background()
+	c := New(Config{ShardSize: 2})
+	spec := testSpec()
+	spec.ForkWarm = true
+	spec.Workloads = []string{"DB"}
+	spec.Bypass = []bool{false, true} // one warm group per L2 install policy
+	spec.TableEntries = []int{128, 256, 512}
+	points, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := map[string]int{} // warm key -> size
+	for _, p := range points {
+		rs, err := p.RunSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups[rs.WarmKey()]++
+	}
+	if len(groups) != 2 {
+		t.Fatalf("spec has %d warm groups, want 2", len(groups))
+	}
+	for _, n := range groups {
+		if n <= 2 {
+			t.Fatalf("warm group of %d points is not larger than ShardSize 2", n)
+		}
+	}
+	v, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := register(t, c, "fork")
+
+	// groupOf checks that a lease holds exactly one whole warm group.
+	groupOf := func(l *Lease) string {
+		t.Helper()
+		var key string
+		for i, p := range l.Points {
+			rs, err := p.RunSpec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				key = rs.WarmKey()
+			} else if rs.WarmKey() != key {
+				t.Fatalf("lease %s mixes warm groups", l.ID)
+			}
+		}
+		if len(l.Points) != groups[key] {
+			t.Fatalf("lease %s splits a warm group: %d of its %d points", l.ID, len(l.Points), groups[key])
+		}
+		return key
+	}
+
+	l, err := c.Acquire(ctx, w.ID, 0)
+	if err != nil || l == nil {
+		t.Fatalf("acquire: %v %v", l, err)
+	}
+	groupOf(l)
+	if err := c.Fail(ctx, l.ID, w.ID, "synthetic"); err != nil {
+		t.Fatal(err)
+	}
+	leased := map[string]bool{}
+	for {
+		l, err := c.Acquire(ctx, w.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l == nil {
+			break
+		}
+		key := groupOf(l)
+		if leased[key] {
+			t.Fatalf("warm group leased twice after its points were submitted")
+		}
+		leased[key] = true
+		for _, p := range l.Points {
+			if _, err := c.SubmitPoint(ctx, l.SweepID, w.ID, fakeResult(t, p, l.WarmInstrs, l.MeasureInstrs, l.Seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Complete(ctx, l.ID, w.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := c.Sweep(v.ID); len(leased) != 2 || got.State != SweepCompleted {
+		t.Fatalf("leased %d groups, sweep %s with %d/%d points", len(leased), got.State, got.Completed, got.Total)
+	}
+}
+
+// TestAcquireWakesOnSubmissionAndReinjection: an idle worker waiting in
+// Acquire starts new work at once, without waiting out its poll
+// interval, when a sweep is submitted or a lease's points reinject.
+func TestAcquireWakesOnSubmissionAndReinjection(t *testing.T) {
+	ctx := context.Background()
+	c := New(Config{ShardSize: 100})
+	got := make(chan *Lease, 1)
+	idle := func(workerID string) {
+		l, err := c.Acquire(ctx, workerID, time.Minute)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- l
+	}
+	woken := func(what string) *Lease {
+		t.Helper()
+		select {
+		case l := <-got:
+			if l == nil {
+				t.Fatalf("acquire woken by %s without a lease", what)
+			}
+			return l
+		case <-time.After(10 * time.Second):
+			t.Fatalf("idle acquire not woken by %s", what)
+		}
+		return nil
+	}
+
+	w1 := register(t, c, "first")
+	go idle(w1.ID)
+	time.Sleep(20 * time.Millisecond)
+	if _, err := c.Submit(testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	l := woken("a submission")
+
+	w2 := register(t, c, "second")
+	go idle(w2.ID)
+	time.Sleep(20 * time.Millisecond)
+	if err := c.Fail(ctx, l.ID, w1.ID, "synthetic"); err != nil {
+		t.Fatal(err)
+	}
+	if l2 := woken("a reinjection"); len(l2.Points) != len(l.Points) {
+		t.Fatalf("reinjected lease has %d points, want %d", len(l2.Points), len(l.Points))
 	}
 }

@@ -27,7 +27,7 @@ func newDistServer(t *testing.T, c *Coordinator) *httptest.Server {
 func newTestWorker(srv *httptest.Server, name string) *Worker {
 	c := NewClient(srv.URL)
 	c.Retry = fastRetry
-	return &Worker{Client: c, Name: name, PollInterval: 20 * time.Millisecond}
+	return &Worker{Coordinator: c, Name: name, PollInterval: 20 * time.Millisecond}
 }
 
 // verifyJournal re-opens the sweep's journal from disk and checks it
@@ -204,6 +204,138 @@ func TestCoordinatorRestartDoesNotRecompute(t *testing.T) {
 	if c2 := w2.EngineCounters(); c2.Simulations != uint64(v.Total-journaled) {
 		t.Fatalf("second life simulated %d points, want exactly %d (total %d - journaled %d)",
 			c2.Simulations, v.Total-journaled, v.Total, journaled)
+	}
+	verifyJournal(t, dir, spec, final)
+}
+
+// leaseRecorder collects "shard-leased" events: the points in each
+// lease, per worker id, and a channel closed at the n-th lease.
+type leaseRecorder struct {
+	mu    sync.Mutex
+	sizes map[string][]int
+	count int
+	n     int
+	nth   chan struct{}
+}
+
+func newLeaseRecorder(n int) *leaseRecorder {
+	return &leaseRecorder{sizes: map[string][]int{}, n: n, nth: make(chan struct{})}
+}
+
+func (r *leaseRecorder) event(_, typ string, data any) {
+	if typ != "shard-leased" {
+		return
+	}
+	m := data.(map[string]any)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	id := m["worker_id"].(string)
+	r.sizes[id] = append(r.sizes[id], m["points"].(int))
+	if r.count++; r.count == r.n {
+		close(r.nth)
+	}
+}
+
+// awaitNth blocks until the n-th lease is granted.
+func (r *leaseRecorder) awaitNth(t *testing.T, why string) {
+	select {
+	case <-r.nth:
+	case <-time.After(10 * time.Second):
+		t.Error(why)
+	}
+}
+
+// TestWorkerOverlapsLeases: a worker with two slots takes a second
+// lease while its first one is still delivering, so one lease's tail
+// never leaves a slot idle.
+func TestWorkerOverlapsLeases(t *testing.T) {
+	rec := newLeaseRecorder(2)
+	c := New(Config{ShardSize: 1, OnEvent: rec.event})
+	v, err := c.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{Coordinator: c, Name: "wide", Concurrency: 2, PollInterval: 20 * time.Millisecond}
+	var once sync.Once
+	w.OnPoint = func(sweep.PointResult) {
+		once.Do(func() { rec.awaitNth(t, "worker with a slot free never took a second lease") })
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	final, err := c.Wait(ctx, v.ID)
+	cancel()
+	<-done
+	if err != nil || final.State != SweepCompleted {
+		t.Fatalf("sweep: %+v, %v", final, err)
+	}
+}
+
+// TestLeaseSizeIgnoresWorkerWidth: a one-slot worker and a three-slot
+// worker share a cold sweep over HTTP. Each lease holds at most
+// ShardSize points whoever takes it, both workers run points, and
+// every point is journaled exactly once.
+func TestLeaseSizeIgnoresWorkerWidth(t *testing.T) {
+	dir := t.TempDir()
+	rec := newLeaseRecorder(2)
+	c := New(Config{JournalDir: dir, OnEvent: rec.event})
+	srv := newDistServer(t, c)
+	spec := testSpec()
+	spec.TableEntries = []int{64, 128, 256, 512, 1024, 2048}
+	v, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The narrow worker holds the first lease until the wide one has
+	// taken another.
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	narrow := newTestWorker(srv, "narrow")
+	var once sync.Once
+	narrow.OnPoint = func(sweep.PointResult) {
+		once.Do(func() { rec.awaitNth(t, "the wide worker never took a lease") })
+	}
+	wide := newTestWorker(srv, "wide")
+	wide.Concurrency = 3
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		narrow.Run(ctx)
+	}()
+	go func() {
+		defer wg.Done()
+		for narrow.ID() == "" || c.Snapshot().LeasesGranted == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		wide.Run(ctx)
+	}()
+	final, err := c.Wait(ctx, v.ID)
+	cancel()
+	wg.Wait()
+	if err != nil || final.State != SweepCompleted {
+		t.Fatalf("sweep: %+v, %v", final, err)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for _, w := range []*Worker{narrow, wide} {
+		sizes := rec.sizes[w.ID()]
+		if len(sizes) == 0 {
+			t.Errorf("worker %s (%s) took no lease", w.ID(), w.Name)
+		}
+		for _, n := range sizes {
+			if n > 4 {
+				t.Errorf("worker %s (%s) took a %d-point lease, want at most ShardSize 4", w.ID(), w.Name, n)
+			}
+		}
+	}
+	if s := c.Snapshot(); s.PointsCompleted != uint64(v.Total) {
+		t.Fatalf("%d point deliveries counted, want exactly %d", s.PointsCompleted, v.Total)
 	}
 	verifyJournal(t, dir, spec, final)
 }

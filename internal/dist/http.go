@@ -1,29 +1,28 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
+	"time"
 
 	"repro/internal/sweep"
 )
 
-// Handler exposes the coordinator over HTTP. The service layer mounts
-// it under /v1/dist (see service.Handler); paths here are relative to
-// that prefix:
+// Handler exposes the coordinator's worker protocol over HTTP. The
+// service layer mounts it under /v1/dist (see service.Handler) and
+// serves sweep submission and reads under /v1/sweeps itself; paths here
+// are relative to the /v1/dist prefix:
 //
 //	POST /workers                worker registration -> {id, lease_ttl_ms}
-//	POST /sweeps                 submit a sweep.Spec for distributed
-//	                             execution; 202 with progress, 200 when
-//	                             an identical sweep already exists
-//	GET  /sweeps                 list distributed sweeps
-//	GET  /sweeps/{id}            sweep progress (pending/leased/completed)
-//	GET  /sweeps/{id}/artifacts/{name}
-//	                             download a completed sweep's artifact
-//	POST /sweeps/{id}/points     idempotent point submission
-//	POST /leases                 acquire the next shard lease (204 = no
-//	                             pending work, 403 = quarantined)
+//	POST /sweeps/{id}/points     idempotent point submission (409 =
+//	                             this coordinator no longer owns the
+//	                             journal)
+//	POST /leases                 acquire the next shard lease, waiting
+//	                             up to wait_ms (at most one lease TTL)
+//	                             for work (204 = no pending work, 403 =
+//	                             quarantined)
 //	POST /leases/{id}/renew      heartbeat (410 = lease gone)
 //	POST /leases/{id}/complete   close a fully-delivered lease
 //	POST /leases/{id}/fail       abandon a lease after a worker error
@@ -38,61 +37,8 @@ func Handler(c *Coordinator) http.Handler {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, c.RegisterWorker(req.Name))
-	})
-
-	mux.HandleFunc("POST /sweeps", func(w http.ResponseWriter, r *http.Request) {
-		var spec sweep.Spec
-		if err := decode(r, &spec); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		v, err := c.Submit(spec)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		status := http.StatusAccepted
-		if v.State != SweepRunning {
-			status = http.StatusOK
-		}
-		writeJSON(w, status, v)
-	})
-
-	mux.HandleFunc("GET /sweeps", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
-			Sweeps []SweepView `json:"sweeps"`
-		}{c.Sweeps()})
-	})
-
-	mux.HandleFunc("GET /sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
-		v, ok := c.Sweep(r.PathValue("id"))
-		if !ok {
-			httpError(w, http.StatusNotFound, "unknown sweep")
-			return
-		}
+		v, _ := c.Register(r.Context(), req.Name)
 		writeJSON(w, http.StatusOK, v)
-	})
-
-	mux.HandleFunc("GET /sweeps/{id}/artifacts/{name}", func(w http.ResponseWriter, r *http.Request) {
-		id, name := r.PathValue("id"), r.PathValue("name")
-		v, ok := c.Sweep(id)
-		if !ok {
-			httpError(w, http.StatusNotFound, "unknown sweep")
-			return
-		}
-		data, ct, ok := c.Artifact(id, name)
-		if !ok {
-			if v.State == SweepRunning {
-				httpError(w, http.StatusConflict, "sweep still running")
-				return
-			}
-			httpError(w, http.StatusNotFound, "unknown artifact (want one of "+strings.Join(v.Artifacts, ", ")+")")
-			return
-		}
-		w.Header().Set("Content-Type", ct)
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
 	})
 
 	mux.HandleFunc("POST /sweeps/{id}/points", func(w http.ResponseWriter, r *http.Request) {
@@ -104,10 +50,13 @@ func Handler(c *Coordinator) http.Handler {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		dup, err := c.SubmitPoint(r.PathValue("id"), req.WorkerID, req.Result)
+		dup, err := c.SubmitPoint(r.Context(), r.PathValue("id"), req.WorkerID, req.Result)
 		switch {
 		case errors.Is(err, ErrUnknownSweep):
 			httpError(w, http.StatusNotFound, err.Error())
+			return
+		case errors.Is(err, ErrFenced):
+			httpError(w, http.StatusConflict, err.Error())
 			return
 		case err != nil:
 			httpError(w, http.StatusBadRequest, err.Error())
@@ -121,12 +70,14 @@ func Handler(c *Coordinator) http.Handler {
 	mux.HandleFunc("POST /leases", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			WorkerID string `json:"worker_id"`
+			WaitMS   int64  `json:"wait_ms,omitempty"`
 		}
 		if err := decode(r, &req); err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		l, err := c.Acquire(req.WorkerID)
+		wait := min(time.Duration(req.WaitMS)*time.Millisecond, c.cfg.LeaseTTL)
+		l, err := c.Acquire(r.Context(), req.WorkerID, wait)
 		switch {
 		case errors.Is(err, ErrUnknownWorker):
 			httpError(w, http.StatusNotFound, err.Error())
@@ -144,7 +95,7 @@ func Handler(c *Coordinator) http.Handler {
 		writeJSON(w, http.StatusOK, l)
 	})
 
-	leaseOp := func(op func(leaseID, workerID string) error) http.HandlerFunc {
+	leaseOp := func(op func(ctx context.Context, leaseID, workerID string) error) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			var req struct {
 				WorkerID string `json:"worker_id"`
@@ -154,7 +105,7 @@ func Handler(c *Coordinator) http.Handler {
 				httpError(w, http.StatusBadRequest, err.Error())
 				return
 			}
-			err := op(r.PathValue("id"), req.WorkerID)
+			err := op(r.Context(), r.PathValue("id"), req.WorkerID)
 			if errors.Is(err, ErrLeaseGone) {
 				httpError(w, http.StatusGone, err.Error())
 				return
@@ -179,7 +130,7 @@ func Handler(c *Coordinator) http.Handler {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		err := c.Fail(r.PathValue("id"), req.WorkerID, req.Error)
+		err := c.Fail(r.Context(), r.PathValue("id"), req.WorkerID, req.Error)
 		if errors.Is(err, ErrLeaseGone) {
 			httpError(w, http.StatusGone, err.Error())
 			return

@@ -26,6 +26,8 @@ type Snapshot struct {
 	SweepsSubmitted    uint64 `json:"sweeps_submitted"`
 	SweepsCompleted    uint64 `json:"sweeps_completed"`
 	SweepsFailed       uint64 `json:"sweeps_failed"`
+	SweepsCanceled     uint64 `json:"sweeps_canceled"`
+	SweepsRunning      int    `json:"sweeps_running"`
 }
 
 // livenessWindow is how long after its last call a worker still counts
@@ -53,6 +55,12 @@ func (c *Coordinator) Snapshot() Snapshot {
 		SweepsSubmitted:    c.metrics.sweepsSubmitted,
 		SweepsCompleted:    c.metrics.sweepsCompleted,
 		SweepsFailed:       c.metrics.sweepsFailed,
+		SweepsCanceled:     c.metrics.sweepsCanceled,
+	}
+	for _, ds := range c.sweeps {
+		if ds.sstate == SweepRunning {
+			s.SweepsRunning++
+		}
 	}
 	for _, w := range c.workers {
 		if !w.quarantined && now.Sub(w.lastSeen) < livenessWindow*c.cfg.LeaseTTL {
@@ -92,9 +100,9 @@ func (c *Coordinator) WriteProm(w io.Writer) {
 	counter("iprefetchd_dist_points_duplicate_total", "Idempotent re-deliveries of already-completed points.", c.metrics.pointsDuplicate)
 	counter("iprefetchd_dist_points_recovered_total", "Grid points replayed from the journal at submission.", c.metrics.pointsRecovered)
 	counter("iprefetchd_dist_points_reinjected_total", "Grid points requeued after a lease expired or failed.", c.metrics.pointsReinjected)
-	counter("iprefetchd_dist_sweeps_submitted_total", "Distributed sweeps accepted.", c.metrics.sweepsSubmitted)
-	counter("iprefetchd_dist_sweeps_completed_total", "Distributed sweeps finished successfully.", c.metrics.sweepsCompleted)
-	counter("iprefetchd_dist_sweeps_failed_total", "Distributed sweeps failed (point retry budget exhausted).", c.metrics.sweepsFailed)
+	counter("iprefetchd_dist_sweeps_submitted_total", "Sweeps accepted by the coordinator.", c.metrics.sweepsSubmitted)
+	counter("iprefetchd_dist_sweeps_completed_total", "Sweeps finished successfully.", c.metrics.sweepsCompleted)
+	counter("iprefetchd_dist_sweeps_failed_total", "Sweeps failed (a point failed in process or ran out of retries).", c.metrics.sweepsFailed)
 	gauge("iprefetchd_dist_leases_outstanding", "Leases currently held by workers.", int64(len(c.leases)))
 
 	pending, running := 0, 0
@@ -105,7 +113,7 @@ func (c *Coordinator) WriteProm(w io.Writer) {
 		}
 	}
 	gauge("iprefetchd_dist_points_pending", "Grid points waiting to be leased.", int64(pending))
-	gauge("iprefetchd_dist_sweeps_running", "Distributed sweeps currently executing.", int64(running))
+	gauge("iprefetchd_dist_sweeps_running", "Sweeps currently executing.", int64(running))
 
 	ids := make([]string, 0, len(c.workers))
 	for id := range c.workers {

@@ -14,24 +14,43 @@ import (
 	"repro/internal/sweep"
 )
 
-// Worker is the remote execution half of the subsystem: it registers
-// with a coordinator, pulls shard leases, runs each point on a local
-// memoising sim.Engine (one per budget combination, like the service
-// layer), streams every completed point back immediately, and renews
-// its lease heartbeat while the shard runs. A worker whose heartbeat
-// discovers the lease is gone abandons the shard — the coordinator has
-// already reinjected it — and any points it delivered anyway are
-// absorbed idempotently.
+// Endpoint is the worker's side of the lease protocol. *Client speaks
+// it over HTTP to a remote coordinator; *Coordinator serves it in
+// process, which is how a daemon runs its own sweeps.
+type Endpoint interface {
+	Register(ctx context.Context, name string) (WorkerView, error)
+	Acquire(ctx context.Context, workerID string, wait time.Duration) (*Lease, error)
+	Renew(ctx context.Context, leaseID, workerID string) error
+	SubmitPoint(ctx context.Context, sweepID, workerID string, res sweep.PointResult) (duplicate bool, err error)
+	Complete(ctx context.Context, leaseID, workerID string) error
+	Fail(ctx context.Context, leaseID, workerID, reason string) error
+}
+
+var (
+	_ Endpoint = (*Client)(nil)
+	_ Endpoint = (*Coordinator)(nil)
+)
+
+// Worker is the execution half of the subsystem: it registers with a
+// coordinator, pulls shard leases, runs each lease's points on a
+// memoising sim.Engine through sweep.RunPoints, streams every
+// completed point back immediately, and renews each lease's heartbeat
+// while the shard runs. It holds up to Concurrency leases at once and
+// asks for another only while one of its slots is idle, so the tail of
+// one lease overlaps the next and fork-warm groups warm side by side. A worker whose heartbeat discovers the lease is
+// gone abandons the shard — the coordinator has already reinjected it
+// — and any points it delivered anyway are absorbed idempotently.
 type Worker struct {
-	// Client connects to the coordinator. Required.
-	Client *Client
+	// Coordinator is the lease protocol endpoint. Required.
+	Coordinator Endpoint
 	// Name labels the worker in coordinator logs and metrics.
 	Name string
-	// Concurrency bounds points simulated in parallel within one lease.
-	// Default 1.
+	// Concurrency bounds points simulated in parallel across every
+	// lease the worker holds. Default 1.
 	Concurrency int
-	// PollInterval is the idle wait between acquire attempts when the
-	// coordinator has no pending work. Default 500ms (jittered).
+	// PollInterval bounds how long one acquire waits for work before
+	// the worker asks again; a submission or a reinjection ends the
+	// wait at once. Default 500ms.
 	PollInterval time.Duration
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -40,11 +59,15 @@ type Worker struct {
 	OnPoint func(res sweep.PointResult)
 	// Corpus, when non-nil, is this worker's local trace cache: before
 	// running a lease whose points name trace:<id> workloads, the
-	// worker fetches any missing container from the coordinator over
-	// /v1/corpus, verifies the bytes hash to the requested id, and
-	// registers the cache as a replay provider. Without it, trace
-	// leases fail (and reinject toward workers that have a cache).
+	// worker fetches any missing entry from the coordinator's daemon
+	// (Coordinator must then be a *Client), verifies it, and registers
+	// the cache as a replay provider. Without it, trace points resolve
+	// through whatever providers this process registered.
 	Corpus *corpus.Store
+	// Engines, when non-nil, supplies the engine for each budget/seed
+	// combination (a daemon shares its job engines this way). Default:
+	// engines the worker creates and owns.
+	Engines func(warm, measure, seed uint64) *sim.Engine
 
 	mu         sync.Mutex
 	id         string
@@ -69,6 +92,9 @@ func (w *Worker) ID() string {
 // engineFor returns (creating if needed) the engine for one budget/seed
 // combination.
 func (w *Worker) engineFor(warm, measure, seed uint64) *sim.Engine {
+	if w.Engines != nil {
+		return w.Engines(warm, measure, seed)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.engines == nil {
@@ -101,10 +127,10 @@ func (w *Worker) EngineCounters() sim.Counters {
 // Run registers the worker and processes leases until ctx fires or the
 // coordinator quarantines it. Transient coordinator failures are
 // absorbed by the client's retry budget; only a spent budget or a
-// terminal rejection stops the loop.
+// terminal rejection stops the worker.
 func (w *Worker) Run(ctx context.Context) error {
-	if w.Client == nil {
-		return errors.New("dist: worker needs a client")
+	if w.Coordinator == nil {
+		return errors.New("dist: worker needs a coordinator endpoint")
 	}
 	if w.Corpus != nil {
 		w.mu.Lock()
@@ -118,8 +144,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
-	reg, err := w.Client.Register(ctx, w.Name)
-	if err != nil {
+	var reg WorkerView
+	var err error
+	if c, ok := w.Coordinator.(*Coordinator); ok {
+		// The coordinator's own process: see worker.inProcess.
+		reg = c.register(w.Name, true)
+	} else if reg, err = w.Coordinator.Register(ctx, w.Name); err != nil {
 		return fmt.Errorf("dist: register: %w", err)
 	}
 	w.mu.Lock()
@@ -128,26 +158,50 @@ func (w *Worker) Run(ctx context.Context) error {
 	ttl := time.Duration(reg.LeaseTTLMS) * time.Millisecond
 	w.logf("dist: worker %s (%s) registered, lease ttl %s", reg.ID, w.Name, ttl)
 
+	// One lease loop per slot; the first loop to stop stops the rest.
+	conc := max(w.Concurrency, 1)
+	slots := sim.NewSlots(conc)
+	loopCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	errc := make(chan error, conc)
+	for range conc {
+		go func() {
+			errc <- w.leaseLoop(loopCtx, reg.ID, ttl, poll, slots)
+			stop()
+		}()
+	}
+	err = <-errc
+	for range conc - 1 {
+		<-errc
+	}
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return err
+}
+
+// leaseLoop acquires and runs one lease at a time. It asks for a lease
+// only once a slot is free, so a worker whose slots are all busy takes
+// on no more work.
+func (w *Worker) leaseLoop(ctx context.Context, workerID string, ttl, poll time.Duration, slots sim.Slots) error {
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
+		select {
+		case slots <- struct{}{}:
+			<-slots
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-		lease, err := w.Client.Acquire(ctx, reg.ID)
+		lease, err := w.Coordinator.Acquire(ctx, workerID, poll)
 		if err != nil {
-			if errors.Is(err, ErrQuarantined) {
+			if errors.Is(err, ErrQuarantined) || ctx.Err() != nil {
 				return err
 			}
 			return fmt.Errorf("dist: acquire: %w", err)
 		}
 		if lease == nil {
-			select {
-			case <-time.After(w.Client.jitter(poll)):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
 			continue
 		}
-		if err := w.runLease(ctx, reg.ID, lease, ttl); err != nil {
+		if err := w.runLease(ctx, workerID, lease, ttl, slots); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -156,11 +210,11 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runLease simulates one shard under a heartbeat: points run (bounded
-// by Concurrency), stream back as they finish, and a renew ticker keeps
-// the lease alive. If a renewal reports the lease gone, the remaining
-// points are abandoned mid-simulation.
-func (w *Worker) runLease(ctx context.Context, workerID string, l *Lease, ttl time.Duration) error {
+// runLease simulates one shard under a heartbeat: points run on the
+// worker's shared slots, stream back as they finish, and a renew ticker
+// keeps the lease alive. If a renewal reports the lease gone, the
+// remaining points are abandoned mid-simulation.
+func (w *Worker) runLease(ctx context.Context, workerID string, l *Lease, ttl time.Duration, slots sim.Slots) error {
 	leaseCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -181,7 +235,7 @@ func (w *Worker) runLease(ctx context.Context, workerID string, l *Lease, ttl ti
 			case <-leaseCtx.Done():
 				return
 			case <-t.C:
-				if err := w.Client.Renew(leaseCtx, l.ID, workerID); err != nil {
+				if err := w.Coordinator.Renew(leaseCtx, l.ID, workerID); err != nil {
 					if errors.Is(err, ErrLeaseGone) {
 						w.logf("dist: lease %s expired under us, abandoning shard", l.ID)
 					}
@@ -194,38 +248,26 @@ func (w *Worker) runLease(ctx context.Context, workerID string, l *Lease, ttl ti
 
 	// Trace-replay points need their container cached locally before
 	// any of them simulate; a fetch failure fails the whole lease so
-	// the coordinator reinjects it promptly.
-	if err := w.ensureTraces(leaseCtx, l); err != nil {
-		cancel()
-		hbWG.Wait()
-		failCtx, cancelFail := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancelFail()
-		if ferr := w.Client.Fail(failCtx, l.ID, workerID, err.Error()); ferr != nil && !errors.Is(ferr, ErrLeaseGone) {
-			w.logf("dist: report lease %s failure: %v", l.ID, ferr)
-		}
-		return err
+	// the coordinator reinjects it promptly. Points sharing a warm phase
+	// fork from one snapshot; each result streams back as soon as its
+	// point completes.
+	err := w.ensureTraces(leaseCtx, l)
+	if err == nil {
+		eng := w.engineFor(l.WarmInstrs, l.MeasureInstrs, l.Seed)
+		err = sweep.RunPoints(leaseCtx, eng, l.Points, slots, func(res sweep.PointResult) error {
+			if _, err := w.Coordinator.SubmitPoint(leaseCtx, l.SweepID, workerID, res); err != nil {
+				return fmt.Errorf("dist: submit point %d: %w", res.Point.Index, err)
+			}
+			if w.OnPoint != nil {
+				w.OnPoint(res)
+			}
+			return nil
+		})
 	}
-
-	conc := w.Concurrency
-	if conc <= 0 {
-		conc = 1
-	}
-	// Points sharing a warm phase fork from one snapshot; each result
-	// streams back as soon as its point completes.
-	eng := w.engineFor(l.WarmInstrs, l.MeasureInstrs, l.Seed)
-	firstErr := sweep.RunPoints(leaseCtx, eng, l.Points, conc, func(res sweep.PointResult) error {
-		if _, err := w.Client.SubmitPoint(leaseCtx, l.SweepID, workerID, res); err != nil {
-			return fmt.Errorf("dist: submit point %d: %w", res.Point.Index, err)
-		}
-		if w.OnPoint != nil {
-			w.OnPoint(res)
-		}
-		return nil
-	})
 	cancel()
 	hbWG.Wait()
 
-	if firstErr != nil {
+	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -234,25 +276,25 @@ func (w *Worker) runLease(ctx context.Context, workerID string, l *Lease, ttl ti
 		// the TTL path handles it.
 		failCtx, cancelFail := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancelFail()
-		if err := w.Client.Fail(failCtx, l.ID, workerID, firstErr.Error()); err != nil && !errors.Is(err, ErrLeaseGone) {
-			w.logf("dist: report lease %s failure: %v", l.ID, err)
+		if ferr := w.Coordinator.Fail(failCtx, l.ID, workerID, err.Error()); ferr != nil && !errors.Is(ferr, ErrLeaseGone) {
+			w.logf("dist: report lease %s failure: %v", l.ID, ferr)
 		}
-		return firstErr
+		return err
 	}
-	if err := w.Client.Complete(ctx, l.ID, workerID); err != nil && !errors.Is(err, ErrLeaseGone) {
+	if err := w.Coordinator.Complete(ctx, l.ID, workerID); err != nil && !errors.Is(err, ErrLeaseGone) {
 		return fmt.Errorf("dist: complete lease %s: %w", l.ID, err)
 	}
 	return nil
 }
 
-// ensureTraces makes the local cache hold every trace:<id> entry a
-// lease's points replay. It federates at chunk granularity against the
-// full replica list — only chunks the cache is missing transfer, so a
-// worker that already replayed a near-duplicate trace (same program,
-// different seed) pulls a fraction of the bytes — and falls back to the
-// whole-container route when a coordinator predates chunk federation.
-// Either way every byte is verified against the requested id before it
-// may serve simulations.
+// ensureTraces makes the local cache, if any, hold every trace:<id>
+// entry a lease's points replay. It federates at chunk granularity
+// against the full replica list — only chunks the cache is missing
+// transfer, so a worker that already replayed a near-duplicate trace
+// (same program, different seed) pulls a fraction of the bytes — and
+// falls back to the whole-container route when a coordinator predates
+// chunk federation. Either way every byte is verified against the
+// requested id before it may serve simulations.
 func (w *Worker) ensureTraces(ctx context.Context, l *Lease) error {
 	ids := map[string]bool{}
 	for _, p := range l.Points {
@@ -260,15 +302,16 @@ func (w *Worker) ensureTraces(ctx context.Context, l *Lease) error {
 			ids[id] = true
 		}
 	}
-	if len(ids) == 0 {
+	if len(ids) == 0 || w.Corpus == nil {
 		return nil
 	}
-	if w.Corpus == nil {
-		return errors.New("dist: lease replays trace workloads but worker has no corpus cache (set Worker.Corpus)")
+	client, ok := w.Coordinator.(*Client)
+	if !ok {
+		return errors.New("dist: a worker corpus cache fetches over HTTP and needs a *Client coordinator")
 	}
 	fetcher := &corpus.Fetcher{
 		Store: w.Corpus,
-		Peers: append([]string{w.Client.BaseURL}, w.Client.FallbackURLs...),
+		Peers: append([]string{client.BaseURL}, client.FallbackURLs...),
 		Logf:  w.Logf,
 	}
 	for id := range ids {
@@ -282,7 +325,7 @@ func (w *Worker) ensureTraces(ctx context.Context, l *Lease) error {
 		} else {
 			w.logf("dist: trace %s: chunk federation failed (%v); falling back to container fetch", id[:12], err)
 		}
-		rc, err := w.Client.FetchCorpus(ctx, id)
+		rc, err := client.FetchCorpus(ctx, id)
 		if err != nil {
 			return fmt.Errorf("dist: fetch trace %s: %w", id, err)
 		}

@@ -313,7 +313,7 @@ func TestLiveVsReplaySweepIdentical(t *testing.T) {
 func TestDistWorkersFetchTraceByHash(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.ResultDir = t.TempDir()
-	s, srv := newTestServer(t, cfg)
+	s, srv := newRemoteOnlyServer(t, cfg)
 
 	prog := workload.MustBuildProgram(workload.DB(), 0)
 	man, err := s.Corpus().Capture(workload.NewGenerator(prog, 1), "DB", 0, 15_000)
@@ -354,7 +354,7 @@ func TestDistWorkersFetchTraceByHash(t *testing.T) {
 		}
 		caches[i] = cache
 		w := &dist.Worker{
-			Client:       client,
+			Coordinator:  client,
 			Name:         fmt.Sprintf("fetcher-%d", i),
 			PollInterval: 20 * time.Millisecond,
 			Corpus:       cache,

@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/ctlplane"
+	"repro/internal/dist"
 	"repro/internal/sweep"
 )
 
@@ -71,10 +73,22 @@ func (s *Service) ReloadQuotaFile(path string) error {
 
 // Replica returns this process's control-plane replica, or nil when
 // replication is disabled (standalone daemon).
-func (s *Service) Replica() *ctlplane.Replica {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replica
+func (s *Service) Replica() *ctlplane.Replica { return s.replica.Load() }
+
+// fenceJournal is the coordinator's journal fence: with replication on,
+// a point is journaled only while this replica still holds the lease
+// token it last acquired, so an owner that a peer has superseded can no
+// longer write behind the new owner's journal replay.
+func (s *Service) fenceJournal(write func() error) error {
+	rep := s.Replica()
+	if rep == nil {
+		return write()
+	}
+	held, err := rep.Fence(write)
+	if !held && err == nil {
+		return fmt.Errorf("%w: replica %s (token %d)", dist.ErrFenced, rep.ID(), rep.Token())
+	}
+	return err
 }
 
 // EnableReplication joins the replicated-coordinator ownership protocol
@@ -104,19 +118,14 @@ func (s *Service) EnableReplication(id, url string, ttl time.Duration) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.replica = rep
-	s.mu.Unlock()
+	s.replica.Store(rep)
 	return nil
 }
 
 // StopReplication leaves the ownership protocol, releasing the lease
 // when held so a peer takes over immediately.
 func (s *Service) StopReplication() {
-	s.mu.Lock()
-	rep := s.replica
-	s.mu.Unlock()
-	if rep != nil {
+	if rep := s.Replica(); rep != nil {
 		rep.Stop(true)
 	}
 }
@@ -144,9 +153,9 @@ func (s *Service) sweepDir(id string) string {
 	return filepath.Join(s.cfg.ResultDir, "sweeps", id)
 }
 
-// artifactDir holds one completed sweep's rendered artifacts on disk,
-// outside the journal tree so *.json artifacts are not miscounted as
-// checkpointed points.
+// artifactDir holds one completed sweep's rendered artifacts on disk
+// (the coordinator's ArtifactDir), outside the journal tree so *.json
+// artifacts are not miscounted as checkpointed points.
 func (s *Service) artifactDir(id string) string {
 	return filepath.Join(s.cfg.ResultDir, "artifacts", id)
 }
@@ -157,20 +166,10 @@ func writeSweepMeta(dir string, m sweepMeta) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".meta-*")
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, sweepMetaFile))
+	return atomicfile.Write(filepath.Join(dir, sweepMetaFile), data)
 }
 
 // readSweepMeta loads a sweep's identity record.
@@ -187,11 +186,11 @@ func readSweepMeta(dir string) (sweepMeta, error) {
 }
 
 // adoptOrphanedSweeps scans the shared journal root for sweeps whose
-// point count is short of their total — work a dead replica left behind
-// — and resubmits them. Identity is content-derived, so resubmission
-// resumes from the journal: already-checkpointed points replay as
-// recovered, and content-addressed checkpoint files make duplicates
-// structurally impossible.
+// point count is short of their total — work a dead replica left behind,
+// whichever workers ran it — and resubmits them. Identity is
+// content-derived, so resubmission resumes from the journal:
+// already-checkpointed points replay as recovered, and content-addressed
+// checkpoint files make duplicates structurally impossible.
 func (s *Service) adoptOrphanedSweeps() {
 	if s.cfg.ResultDir == "" {
 		return
@@ -208,7 +207,7 @@ func (s *Service) adoptOrphanedSweeps() {
 		id := e.Name()
 		meta, err := readSweepMeta(filepath.Join(root, id))
 		if err != nil {
-			continue // dist-owned or pre-meta journal; nothing to adopt
+			continue // pre-meta journal; nothing to adopt
 		}
 		// Re-derive the content identity; a meta whose spec no longer
 		// hashes to its directory is corrupt and must not run.
@@ -224,10 +223,7 @@ func (s *Service) adoptOrphanedSweeps() {
 		if err != nil || n >= meta.Total {
 			continue // complete (or unreadable); nothing to finish
 		}
-		s.mu.Lock()
-		_, known := s.sweeps[id]
-		s.mu.Unlock()
-		if known {
+		if v, ok := s.dist.Sweep(id); ok && v.State == SweepRunning {
 			continue // already running here
 		}
 		// Resubmission must re-derive the same identity, which requires
@@ -288,38 +284,6 @@ func (s *Service) sweepFromDisk(id string) (SweepView, bool) {
 		}
 	}
 	return v, true
-}
-
-// persistArtifacts writes a completed sweep's rendered artifacts under
-// the shared data root so any replica (and a restarted daemon) can
-// serve them.
-func (s *Service) persistArtifacts(id string, artifacts map[string][]byte) {
-	if s.cfg.ResultDir == "" || len(artifacts) == 0 {
-		return
-	}
-	dir := s.artifactDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		s.logf("service: sweep %s: persist artifacts: %v", id, err)
-		return
-	}
-	for name, data := range artifacts {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			s.logf("service: sweep %s: persist %s: %v", id, name, err)
-		}
-	}
-}
-
-// artifactFromDisk serves one persisted artifact (follower replicas and
-// restarted daemons).
-func (s *Service) artifactFromDisk(id, name string) ([]byte, bool) {
-	if s.cfg.ResultDir == "" || name != filepath.Base(name) || name == "" || name[0] == '.' {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(s.artifactDir(id), name))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
 }
 
 // WriteCtlplaneProm renders the control-plane metrics section: SSE

@@ -4,15 +4,18 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ctlplane"
+	"repro/internal/dist"
 	"repro/internal/sweep"
 )
 
@@ -459,6 +462,186 @@ func TestReplicaFailoverMidSweep(t *testing.T) {
 	if sims := b.EngineCounters().Simulations; int(sims)+final.Recovered != total {
 		t.Fatalf("work conservation: %d simulated + %d recovered != %d total",
 			sims, final.Recovered, total)
+	}
+}
+
+// TestStaleOwnerCannotJournalAfterTakeover is the journal fence: an
+// owner that stopped renewing finishes a point after the survivor has
+// taken the lease and replayed the journal. The stale point must be
+// neither journaled nor counted, while the point it journaled before
+// the takeover is recovered by the survivor.
+func TestStaleOwnerCannotJournalAfterTakeover(t *testing.T) {
+	dataDir := t.TempDir()
+	ttl := 300 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// The owner runs no in-process worker: the test delivers its points.
+	cfgA := testConfig(t)
+	cfgA.ResultDir = dataDir
+	a := startTestService(t, cfgA, false)
+	if err := a.EnableReplication("rep-a", "http://a.invalid", ttl); err != nil {
+		t.Fatal(err)
+	}
+	waitLeader(t, a, true)
+	cfgB := testConfig(t)
+	cfgB.ResultDir = dataDir
+	b := newTestService(t, cfgB)
+	if err := b.EnableReplication("rep-b", "http://b.invalid", ttl); err != nil {
+		t.Fatal(err)
+	}
+
+	v, err := a.SubmitSweep(smallSweepSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk, err := a.Dist().Register(ctx, "stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := a.Dist().Acquire(ctx, wk.ID, 0)
+	if err != nil || l == nil || len(l.Points) < 2 {
+		t.Fatalf("acquire: %+v, %v", l, err)
+	}
+	// Results the owner fabricates carry a sentinel IPC, so the journal
+	// shows whose entry it holds.
+	const staleIPC = 1e6
+	result := func(p sweep.Point) sweep.PointResult {
+		key, err := p.Key(v.WarmInstrs, v.MeasureInstrs, v.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sweep.PointResult{Key: key, Point: p, IPC: staleIPC, Instructions: 1, Cycles: 1}
+	}
+	if _, err := a.Dist().SubmitPoint(ctx, v.ID, wk.ID, result(l.Points[0])); err != nil {
+		t.Fatalf("owner's point before the takeover: %v", err)
+	}
+
+	// The owner stops renewing; the survivor takes over and adopts the
+	// sweep, replaying the one journaled point.
+	a.Replica().Abandon()
+	waitLeader(t, b, true)
+	for b.SweepsAdopted() == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("survivor never adopted the sweep")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The stale owner now finishes a second point.
+	late := result(l.Points[1])
+	if _, err := a.Dist().SubmitPoint(ctx, v.ID, wk.ID, late); !errors.Is(err, dist.ErrFenced) {
+		t.Fatalf("stale owner's point after the takeover: %v, want dist.ErrFenced", err)
+	}
+	if got, held := a.Dist().Sweep(v.ID); held {
+		t.Fatalf("stale owner still holds the fenced sweep: %s with %d points", got.State, got.Completed)
+	}
+
+	final, err := b.WaitSweep(ctx, v.ID)
+	if err != nil || final.State != SweepCompleted || final.Completed != final.Total {
+		t.Fatalf("adopted sweep: %+v, %v", final, err)
+	}
+	if final.Recovered != 1 {
+		t.Fatalf("survivor recovered %d points, want the 1 journaled before the takeover", final.Recovered)
+	}
+	j, err := sweep.OpenJournal(filepath.Join(dataDir, "sweeps", v.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := j.Len(); n != final.Total {
+		t.Fatalf("journal holds %d points, want %d", n, final.Total)
+	}
+	if got, ok := j.Get(late.Key); !ok || got.IPC == staleIPC {
+		t.Fatalf("journal entry of the late point: %+v (found %v), want the survivor's", got, ok)
+	}
+	// The former owner serves the sweep from the shared journal, as any
+	// replica does, not from its fenced record.
+	if got, ok := a.Sweep(v.ID); !ok || got.State != SweepCompleted || got.Completed != final.Total {
+		t.Fatalf("former owner reads the sweep as %s with %d/%d points (found %v), want completed",
+			got.State, got.Completed, final.Total, ok)
+	}
+}
+
+// TestRemotePartialSweepAdoptedAfterOwnerDies: a sweep submitted over
+// HTTP and partly run by a remote worker is adoptable like any other.
+// The owner dies with it unfinished, and the survivor completes it from
+// the journal with zero missing and zero duplicate points.
+func TestRemotePartialSweepAdoptedAfterOwnerDies(t *testing.T) {
+	dataDir := t.TempDir()
+	ttl := 400 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	cfgA := testConfig(t)
+	cfgA.ResultDir = dataDir
+	a, srvA := newRemoteOnlyServer(t, cfgA)
+	if err := a.EnableReplication("rep-a", srvA.URL, ttl); err != nil {
+		t.Fatal(err)
+	}
+	waitLeader(t, a, true)
+	cfgB := testConfig(t)
+	cfgB.ResultDir = dataDir
+	b := newTestService(t, cfgB)
+	if err := b.EnableReplication("rep-b", "http://b.invalid", ttl); err != nil {
+		t.Fatal(err)
+	}
+
+	client := dist.NewClient(srvA.URL)
+	client.Retry = dist.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+	spec := smallSweepSpec()
+	spec.PrefetchAhead = []int{1, 2}
+	spec.Schemes = []string{"nl-miss", "discontinuity"}
+	v, err := client.SubmitSweep(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A remote worker delivers two points and dies.
+	workerCtx, kill := context.WithCancel(ctx)
+	var delivered atomic.Int32
+	w := &dist.Worker{Coordinator: client, Name: "remote", PollInterval: 20 * time.Millisecond}
+	w.OnPoint = func(sweep.PointResult) {
+		if delivered.Add(1) == 2 {
+			kill()
+		}
+	}
+	w.Run(workerCtx)
+	a.Replica().Abandon()
+	canceled, stop := context.WithCancel(context.Background())
+	stop()
+	a.Shutdown(canceled)
+	interrupted, _ := a.Sweep(v.ID)
+	if interrupted.Completed == 0 || interrupted.Completed >= v.Total {
+		t.Fatalf("remote worker left %d of %d points, want a strict partial", interrupted.Completed, v.Total)
+	}
+
+	waitLeader(t, b, true)
+	var final SweepView
+	for {
+		if sv, ok := b.Sweep(v.ID); ok && sv.State == SweepCompleted {
+			final = sv
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("adopted sweep never completed")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if b.SweepsAdopted() != 1 {
+		t.Fatalf("survivor adopted %d sweeps, want 1", b.SweepsAdopted())
+	}
+	j, err := sweep.OpenJournal(filepath.Join(dataDir, "sweeps", v.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := j.Len(); n != v.Total || final.Completed != v.Total {
+		t.Fatalf("journal holds %d points, survivor resolved %d, want %d", n, final.Completed, v.Total)
+	}
+	if final.Recovered != interrupted.Completed {
+		t.Fatalf("survivor recovered %d points, the remote worker delivered %d", final.Recovered, interrupted.Completed)
+	}
+	if sims := b.EngineCounters().Simulations; int(sims)+final.Recovered != v.Total {
+		t.Fatalf("work conservation: %d simulated + %d recovered != %d total", sims, final.Recovered, v.Total)
 	}
 }
 

@@ -93,7 +93,7 @@ func TestSweepSubmissionSaturates(t *testing.T) {
 func TestDistEndpointsThroughDaemon(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.ResultDir = t.TempDir()
-	s, srv := newTestServer(t, cfg)
+	s, srv := newRemoteOnlyServer(t, cfg)
 
 	client := dist.NewClient(srv.URL)
 	client.Retry = dist.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
@@ -108,7 +108,7 @@ func TestDistEndpointsThroughDaemon(t *testing.T) {
 		t.Fatalf("submitted sweep view = %+v", v)
 	}
 
-	w := &dist.Worker{Client: client, Name: "in-process", PollInterval: 20 * time.Millisecond}
+	w := &dist.Worker{Coordinator: client, Name: "in-process", PollInterval: 20 * time.Millisecond}
 	workerCtx, stopWorker := context.WithCancel(ctx)
 	done := make(chan struct{})
 	go func() {

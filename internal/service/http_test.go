@@ -18,6 +18,16 @@ func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	return s, srv
 }
 
+// newRemoteOnlyServer is newTestServer without the in-process sweep
+// worker, so only remote dist workers execute sweeps.
+func newRemoteOnlyServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
+	t.Helper()
+	s := startTestService(t, cfg, false)
+	srv := httptest.NewServer(Handler(s))
+	t.Cleanup(srv.Close)
+	return s, srv
+}
+
 func postJob(t *testing.T, base string, body string, wait bool) (*http.Response, JobView) {
 	t.Helper()
 	url := base + "/v1/jobs"

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/dist"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the per-job latency
@@ -32,13 +34,10 @@ type Metrics struct {
 	latencySum   float64
 	latencyCount uint64
 
-	sweepsSubmitted uint64 // sweeps accepted (including dedup rejoins)
-	sweepsCompleted uint64
-	sweepsFailed    uint64
-	sweepsCanceled  uint64
 	sweepsSaturated uint64 // sweep submissions rejected at the concurrency cap
-	sweepPoints     uint64 // grid points resolved by sweeps
-	sweepRecovered  uint64 // grid points replayed from checkpoints
+	// sweeps reads the sweep counters from the coordinator that owns
+	// every sweep; nil reads zeros.
+	sweeps func() dist.Snapshot
 
 	// prefComponents accumulates per-component prefetch attribution
 	// from composite (hybrid:*) scheme runs, keyed by component name.
@@ -91,38 +90,9 @@ func (m *Metrics) StoreHit() { m.incr(&m.storeHits) }
 // QueueFull records a submission rejected for lack of queue space.
 func (m *Metrics) QueueFull() { m.incr(&m.queueFull) }
 
-// SweepSubmitted records an accepted sweep.
-func (m *Metrics) SweepSubmitted() { m.incr(&m.sweepsSubmitted) }
-
 // SweepSaturated records a sweep submission rejected because the
 // concurrent-sweep cap was reached.
 func (m *Metrics) SweepSaturated() { m.incr(&m.sweepsSaturated) }
-
-// SweepPoint records one sweep grid point resolving; recovered marks
-// points replayed from a checkpoint rather than simulated.
-func (m *Metrics) SweepPoint(recovered bool) {
-	m.mu.Lock()
-	m.sweepPoints++
-	if recovered {
-		m.sweepRecovered++
-	}
-	m.mu.Unlock()
-}
-
-// SweepFinished records a sweep leaving execution with the given
-// terminal state ("completed", "failed" or "canceled").
-func (m *Metrics) SweepFinished(state string) {
-	m.mu.Lock()
-	switch state {
-	case "completed":
-		m.sweepsCompleted++
-	case "failed":
-		m.sweepsFailed++
-	case "canceled":
-		m.sweepsCanceled++
-	}
-	m.mu.Unlock()
-}
 
 // JobStarted records a job entering execution.
 func (m *Metrics) JobStarted() {
@@ -180,8 +150,17 @@ type Snapshot struct {
 	PrefetchComponents map[string]ComponentCount `json:"prefetch_components,omitempty"`
 }
 
+// sweepCounters reads the coordinator's sweep counters.
+func (m *Metrics) sweepCounters() dist.Snapshot {
+	if m.sweeps == nil {
+		return dist.Snapshot{}
+	}
+	return m.sweeps()
+}
+
 // Snapshot returns a copy of the current counters.
 func (m *Metrics) Snapshot() Snapshot {
+	d := m.sweepCounters()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Snapshot{
@@ -194,13 +173,13 @@ func (m *Metrics) Snapshot() Snapshot {
 		StoreHits: m.storeHits,
 		QueueFull: m.queueFull,
 
-		SweepsSubmitted: m.sweepsSubmitted,
-		SweepsCompleted: m.sweepsCompleted,
-		SweepsFailed:    m.sweepsFailed,
-		SweepsCanceled:  m.sweepsCanceled,
+		SweepsSubmitted: d.SweepsSubmitted,
+		SweepsCompleted: d.SweepsCompleted,
+		SweepsFailed:    d.SweepsFailed,
+		SweepsCanceled:  d.SweepsCanceled,
 		SweepsSaturated: m.sweepsSaturated,
-		SweepPoints:     m.sweepPoints,
-		SweepRecovered:  m.sweepRecovered,
+		SweepPoints:     d.PointsCompleted + d.PointsRecovered,
+		SweepRecovered:  d.PointsRecovered,
 
 		PrefetchComponents: m.componentsLocked(),
 	}
@@ -229,6 +208,7 @@ type EngineCounters struct {
 // service; engine carries the underlying engine's run-sharing
 // counters.
 func (m *Metrics) WriteProm(w io.Writer, queueDepth, workers, activeSweeps int, engine EngineCounters) {
+	d := m.sweepCounters()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	counter := func(name, help string, v uint64) {
@@ -247,13 +227,13 @@ func (m *Metrics) WriteProm(w io.Writer, queueDepth, workers, activeSweeps int, 
 	counter("iprefetchd_engine_simulations_total", "Simulations actually executed by the engine.", engine.Simulations)
 	counter("iprefetchd_engine_memo_hits_total", "Engine runs answered from the in-memory memo.", engine.MemoHits)
 	counter("iprefetchd_engine_dedup_waits_total", "Engine runs that joined an identical in-flight simulation.", engine.DedupWaits)
-	counter("iprefetchd_sweeps_submitted_total", "Design-space sweeps accepted.", m.sweepsSubmitted)
-	counter("iprefetchd_sweeps_completed_total", "Sweeps finished successfully.", m.sweepsCompleted)
-	counter("iprefetchd_sweeps_failed_total", "Sweeps finished with an error.", m.sweepsFailed)
-	counter("iprefetchd_sweeps_canceled_total", "Sweeps stopped by shutdown or deadline.", m.sweepsCanceled)
+	counter("iprefetchd_sweeps_submitted_total", "Design-space sweeps accepted.", d.SweepsSubmitted)
+	counter("iprefetchd_sweeps_completed_total", "Sweeps finished successfully.", d.SweepsCompleted)
+	counter("iprefetchd_sweeps_failed_total", "Sweeps finished with an error.", d.SweepsFailed)
+	counter("iprefetchd_sweeps_canceled_total", "Sweeps stopped by shutdown or by a superseded journal owner.", d.SweepsCanceled)
 	counter("iprefetchd_sweeps_saturated_rejections_total", "Sweep submissions rejected at the concurrent-sweep cap.", m.sweepsSaturated)
-	counter("iprefetchd_sweep_points_total", "Sweep grid points resolved.", m.sweepPoints)
-	counter("iprefetchd_sweep_points_recovered_total", "Sweep grid points replayed from checkpoints instead of simulated.", m.sweepRecovered)
+	counter("iprefetchd_sweep_points_total", "Sweep grid points resolved.", d.PointsCompleted+d.PointsRecovered)
+	counter("iprefetchd_sweep_points_recovered_total", "Sweep grid points replayed from checkpoints instead of simulated.", d.PointsRecovered)
 	if len(m.prefComponents) > 0 {
 		names := make([]string, 0, len(m.prefComponents))
 		for n := range m.prefComponents {
@@ -273,7 +253,7 @@ func (m *Metrics) WriteProm(w io.Writer, queueDepth, workers, activeSweeps int, 
 	gauge("iprefetchd_jobs_running", "Jobs currently executing.", m.running)
 	gauge("iprefetchd_queue_depth", "Jobs waiting in the queue.", int64(queueDepth))
 	gauge("iprefetchd_workers", "Worker goroutines in the pool.", int64(workers))
-	gauge("iprefetchd_sweeps_running", "Local sweeps currently executing.", int64(activeSweeps))
+	gauge("iprefetchd_sweeps_running", "Sweeps currently executing.", int64(activeSweeps))
 
 	// Cache hit ratio over all submissions that could have re-simulated.
 	den := m.submitted

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cmp"
@@ -50,13 +51,13 @@ type Config struct {
 	// DefaultTimeout bounds each job's execution when the spec sets no
 	// timeout; zero means unbounded.
 	DefaultTimeout time.Duration
-	// MaxActiveSweeps bounds concurrently running sweeps (local and
-	// distributed are counted separately; this caps the local ones).
+	// MaxActiveSweeps bounds concurrently running sweeps, whichever
+	// workers (the daemon's own or remote ones) execute them.
 	// Submissions past the cap are rejected with ErrSweepsSaturated
-	// instead of accumulating unbounded goroutines. Default 8.
+	// instead of queueing without bound. Default 8.
 	MaxActiveSweeps int
-	// DistLeaseTTL is the lease lifetime of the embedded distributed
-	// sweep coordinator. Zero takes the dist default (30s).
+	// DistLeaseTTL is the lease lifetime of the embedded sweep
+	// coordinator. Zero takes the dist default (30s).
 	DistLeaseTTL time.Duration
 	// MaxCorpusUploadBytes caps one POST /v1/corpus body. Default
 	// 64 MiB. Requires ResultDir (the corpus lives under it).
@@ -146,7 +147,8 @@ type JobView struct {
 
 // Service is the simulation job-queue subsystem: a bounded worker pool
 // over one or more memoising engines, with in-flight dedup and an
-// on-disk result store.
+// on-disk result store. Sweeps run through the embedded coordinator
+// (see sweeps.go).
 type Service struct {
 	cfg     Config
 	store   *Store          // nil when persistence is disabled
@@ -155,6 +157,10 @@ type Service struct {
 	metrics *Metrics
 	dist    *dist.Coordinator
 	broker  *ctlplane.Broker
+	// replica is nil when replication is disabled. It is atomic, not
+	// under mu, because the journal fence reads it under the
+	// coordinator's lock, which SubmitSweep takes while holding mu.
+	replica atomic.Pointer[ctlplane.Replica]
 	adopted uint64 // sweeps resumed from the shared journal (atomic)
 
 	gcMu          sync.Mutex
@@ -167,6 +173,7 @@ type Service struct {
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
+	stopSweeps context.CancelFunc // stops the in-process sweep worker
 	queue      chan *job
 	gcStop     chan struct{} // nil unless the corpus GC loop is running
 	wg         sync.WaitGroup
@@ -174,16 +181,19 @@ type Service struct {
 	mu       sync.Mutex
 	jobs     map[string]*job // by id
 	inflight map[string]*job // by canonical key; queued or running only
-	sweeps   map[string]*sweepRun
 	engines  map[string]*sim.Engine
 	nextID   uint64
 	closed   bool
 	limiter  *ctlplane.Limiter // nil when admission control is disabled
-	replica  *ctlplane.Replica // nil when replication is disabled
 }
 
-// New starts a service with cfg's worker pool running.
-func New(cfg Config) (*Service, error) {
+// New starts a service with cfg's worker pool and its in-process sweep
+// worker running.
+func New(cfg Config) (*Service, error) { return newService(cfg, true) }
+
+// newService is New; localSweeps false leaves sweeps to remote workers
+// (tests of the remote path only).
+func newService(cfg Config, localSweeps bool) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -228,7 +238,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.store = st
 		// The trace corpus shares the data root, and the daemon's store
-		// registers as a trace:<id> resolver so local sweeps and jobs
+		// registers as a trace:<id> resolver so sweeps and jobs
 		// can replay any entry it holds. With CorpusPeers configured the
 		// resolver federates: an entry this daemon is missing is pulled
 		// chunk-by-chunk from the first peer that holds it, verified,
@@ -255,35 +265,37 @@ func New(cfg Config) (*Service, error) {
 			go s.corpusGCLoop(cfg.CorpusGCInterval)
 		}
 	}
-	// The embedded distributed-sweep coordinator journals into the same
-	// <data>/sweeps/<id> directories local sweeps checkpoint to, so a
-	// sweep started locally can finish on remote workers and vice
-	// versa.
-	distJournal := ""
-	if cfg.ResultDir != "" {
-		distJournal = filepath.Join(cfg.ResultDir, "sweeps")
-	}
-	s.dist = dist.New(dist.Config{
+	// The embedded coordinator owns every sweep: it journals points to
+	// <data>/sweeps/<id>, fenced by the control-plane lease when
+	// replication is on, and persists artifacts to <data>/artifacts.
+	dcfg := dist.Config{
 		LeaseTTL:             cfg.DistLeaseTTL,
-		JournalDir:           distJournal,
 		DefaultWarmInstrs:    cfg.DefaultWarmInstrs,
 		DefaultMeasureInstrs: cfg.DefaultMeasureInstrs,
 		DefaultSeed:          cfg.Seed,
 		Logf:                 cfg.Logf,
-		// Distributed submissions expand corpus:select(...) axes against
-		// this daemon's index, exactly like local ones, so grid points
-		// reach workers as pinned trace:<id> hashes.
-		NormalizeSpec: s.normalizeSweepSpec,
-		// Distributed sweeps stream over the same SSE topics as local
-		// ones: identity is content-derived either way, so a sweep's
-		// subscribers see its events no matter where it executes.
+		Fence:                s.fenceJournal,
+		// Sweep events stream over the SSE topic of the sweep, wherever
+		// its points execute.
 		OnEvent: func(sweepID, typ string, data any) {
 			s.broker.Publish("sweep/"+sweepID, typ, data)
 		},
-	})
+	}
+	if cfg.ResultDir != "" {
+		dcfg.JournalDir = filepath.Join(cfg.ResultDir, "sweeps")
+		dcfg.ArtifactDir = filepath.Join(cfg.ResultDir, "artifacts")
+	}
+	s.dist = dist.New(dcfg)
+	s.metrics.sweeps = s.dist.Snapshot
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
+	}
+	if localSweeps {
+		var ctx context.Context
+		ctx, s.stopSweeps = context.WithCancel(s.baseCtx)
+		s.wg.Add(1)
+		go s.runSweepWorker(ctx)
 	}
 	return s, nil
 }
@@ -307,24 +319,8 @@ func (s *Service) Corpus() *corpus.Store { return s.corpus }
 // QueueDepth returns the number of jobs currently waiting.
 func (s *Service) QueueDepth() int { return len(s.queue) }
 
-// ActiveSweeps returns the number of local sweeps currently running.
-func (s *Service) ActiveSweeps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.activeSweepsLocked()
-}
-
-// activeSweepsLocked counts running local sweeps. Caller must hold
-// s.mu.
-func (s *Service) activeSweepsLocked() int {
-	n := 0
-	for _, run := range s.sweeps {
-		if run.state == SweepRunning {
-			n++
-		}
-	}
-	return n
-}
+// ActiveSweeps returns the number of sweeps currently running.
+func (s *Service) ActiveSweeps() int { return s.dist.Snapshot().SweepsRunning }
 
 // Workers returns the worker-pool size.
 func (s *Service) Workers() int { return s.cfg.Workers }
@@ -628,11 +624,13 @@ func (s *Service) RunFigure(ctx context.Context, id string) (string, []*stats.Ta
 	return "", nil, fmt.Errorf("service: unknown figure %q", id)
 }
 
-// Shutdown drains the service gracefully: no new jobs are accepted,
-// queued jobs run to completion, and the call returns when the pool is
-// idle. If ctx fires first, running simulations are cancelled (their
-// jobs finish in state canceled) and the call waits for the pool to
-// stop before returning ctx.Err().
+// Shutdown drains the service gracefully: no new jobs or sweeps are
+// accepted, queued jobs and running sweeps run to completion, and the
+// call returns when the pool is idle. If ctx fires first, running
+// simulations are cancelled (their jobs finish in state canceled, their
+// sweeps are canceled with every finished point journaled, so they
+// resume on resubmission) and the call waits for the pool to stop
+// before returning ctx.Err().
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -649,20 +647,32 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	// Backstop for callers that skip the daemon's explicit drain: no SSE
 	// stream outlives the service, and each ends with a shutdown notice.
 	s.DrainStreams()
-	s.StopReplication()
 
 	done := make(chan struct{})
 	go func() {
+		defer close(done)
+		for _, v := range s.dist.Sweeps() {
+			if v.State == SweepRunning {
+				s.dist.Wait(s.baseCtx, v.ID)
+			}
+		}
+		if s.stopSweeps != nil {
+			s.stopSweeps()
+		}
 		s.wg.Wait()
-		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		s.baseCancel()
-		return nil
 	case <-ctx.Done():
+		err = ctx.Err()
 		s.baseCancel()
 		<-done
-		return ctx.Err()
 	}
+	s.baseCancel()
+	s.dist.CancelRunning("service shut down")
+	// Ownership is released only now, so the journal stays fenced to
+	// this replica while its sweeps drain.
+	s.StopReplication()
+	return err
 }

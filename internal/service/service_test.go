@@ -24,7 +24,14 @@ func testConfig(t *testing.T) Config {
 
 func newTestService(t *testing.T, cfg Config) *Service {
 	t.Helper()
-	s, err := New(cfg)
+	return startTestService(t, cfg, true)
+}
+
+// startTestService starts a service, with or without its in-process
+// sweep worker, and shuts it down when the test ends.
+func startTestService(t *testing.T, cfg Config, localSweeps bool) *Service {
+	t.Helper()
+	s, err := newService(cfg, localSweeps)
 	if err != nil {
 		t.Fatal(err)
 	}

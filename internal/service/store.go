@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/sim"
 )
 
@@ -68,20 +69,7 @@ func (s *Store) Put(e StoredResult) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), s.path(e.Key))
+	return atomicfile.Write(s.path(e.Key), data)
 }
 
 // Len counts stored entries (diagnostics and tests).

@@ -333,3 +333,84 @@ func TestHTTPSweepValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestForkSweepWarmsOncePerGroup: the in-process worker's leases follow
+// warm groups, so a fork sweep on two workers runs exactly one
+// simulation per point plus one warm-up per warm group.
+func TestForkSweepWarmsOncePerGroup(t *testing.T) {
+	s := newTestService(t, testConfig(t))
+	spec := sweep.Spec{
+		Schemes:      []string{"discontinuity", "nl-miss"},
+		Workloads:    []string{"DB"},
+		Cores:        []int{1},
+		Bypass:       []bool{false, true},
+		TableEntries: []int{128, 256, 512},
+		ForkWarm:     true,
+	}
+	points, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := map[string]bool{}
+	for _, p := range points {
+		rs, err := p.RunSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups[rs.WarmKey()] = true
+	}
+	v, err := s.SubmitSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitSweepDone(t, s, v.ID); got.State != SweepCompleted {
+		t.Fatalf("fork sweep ended %s: %s", got.State, got.Error)
+	}
+	if c := s.EngineCounters(); c.Simulations != uint64(len(points)+len(groups)) {
+		t.Fatalf("fork sweep ran %d simulations, want %d points + %d warm groups",
+			c.Simulations, len(points), len(groups))
+	}
+}
+
+// TestShutdownFinishesRunningSweeps: a drain with a live context lets
+// a running sweep complete before the service stops.
+func TestShutdownFinishesRunningSweeps(t *testing.T) {
+	s, err := New(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.SubmitSweep(testSweepSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Sweep(v.ID); got.State != SweepCompleted || got.Completed != got.Total {
+		t.Fatalf("sweep after drain: %s with %d/%d points", got.State, got.Completed, got.Total)
+	}
+}
+
+// TestLocalSweepFailsWithPointError: a point that fails every time on
+// the daemon's own engines fails its sweep at once with that point's
+// error, and the in-process worker stays the one worker record.
+func TestLocalSweepFailsWithPointError(t *testing.T) {
+	s := newTestService(t, testConfig(t))
+	spec := testSweepSpec()
+	spec.Workloads = []string{"DB", "trace:" + strings.Repeat("0", 64)}
+	v, err := s.SubmitSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitSweepDone(t, s, v.ID)
+	if got.State != SweepFailed || !strings.Contains(got.Error, strings.Repeat("0", 12)) {
+		t.Fatalf("sweep with a failing point ended %s: %q, want failed with the point's trace error", got.State, got.Error)
+	}
+	snap := s.Dist().Snapshot()
+	if snap.WorkersRegistered != 1 || snap.WorkersQuarantined != 0 || snap.PointsReinjected != 0 {
+		t.Fatalf("local failure left %d worker records (%d quarantined, %d points reinjected), want 1, 0, 0",
+			snap.WorkersRegistered, snap.WorkersQuarantined, snap.PointsReinjected)
+	}
+}

@@ -597,10 +597,26 @@ func (e *Engine) WarmContext(ctx context.Context, specs []RunSpec) error {
 // for concurrent calls. The returned error is the first failure (results
 // already delivered stand).
 func (e *Engine) RunBatchContext(ctx context.Context, specs []RunSpec, workers int, onResult func(i int, res Result, err error, elapsed time.Duration)) error {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
+	return e.RunBatchSlots(ctx, specs, NewSlots(workers), onResult)
+}
+
+// Slots is a pool of worker slots: a warm phase or a measurement holds
+// one while it runs. Batches that share a pool share its bound.
+type Slots chan struct{}
+
+// NewSlots returns a pool of n slots; n < 1 means GOMAXPROCS.
+func NewSlots(n int) Slots {
+	if n < 1 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	sem := make(chan struct{}, workers)
+	return make(Slots, n)
+}
+
+// RunBatchSlots is RunBatchContext with its worker slots drawn from sem,
+// which concurrent batches may share: a process running several batches
+// at once then keeps sem's bound across all of them, and a batch whose
+// last specs leave slots idle hands them to the others.
+func (e *Engine) RunBatchSlots(ctx context.Context, specs []RunSpec, sem Slots, onResult func(i int, res Result, err error, elapsed time.Duration)) error {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error

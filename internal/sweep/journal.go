@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/sim"
 )
 
@@ -134,20 +135,7 @@ func (j *Journal) Put(r PointResult) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(j.dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), j.path(r.Key))
+	return atomicfile.Write(j.path(r.Key), data)
 }
 
 // Len counts checkpointed points (progress reporting and tests).

@@ -102,7 +102,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 
 	// Pass 2: run the remainder, checkpointing each point as it lands
 	// so an interrupted run resumes from every point that finished.
-	err = RunPoints(ctx, r.Engine, todo, r.Workers, func(res PointResult) error {
+	err = RunPoints(ctx, r.Engine, todo, sim.NewSlots(r.Workers), func(res PointResult) error {
 		if r.Journal != nil {
 			if err := r.Journal.Put(res); err != nil {
 				// A failed checkpoint costs recomputation on resume,
@@ -119,14 +119,14 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	return out, nil
 }
 
-// RunPoints simulates points on eng through Engine.RunBatchContext
-// (workers < 1 means GOMAXPROCS), so fork-warm points sharing a warm
-// phase fork from one snapshot and the rest run solo. Each point's key
+// RunPoints simulates points on eng through Engine.RunBatchSlots, each
+// warm phase and measurement holding one of slots, so fork-warm points
+// sharing a warm phase fork from one snapshot and the rest run solo. Each point's key
 // and RunSpec derive from the engine's budgets. onResult receives every
 // completed point and may be called concurrently. RunPoints returns the
 // first simulation error, else the first onResult error; points already
 // delivered stand.
-func RunPoints(ctx context.Context, eng *sim.Engine, points []Point, workers int, onResult func(PointResult) error) error {
+func RunPoints(ctx context.Context, eng *sim.Engine, points []Point, slots sim.Slots, onResult func(PointResult) error) error {
 	specs := make([]sim.RunSpec, len(points))
 	keys := make([]string, len(points))
 	for i, p := range points {
@@ -142,9 +142,9 @@ func RunPoints(ctx context.Context, eng *sim.Engine, points []Point, workers int
 	}
 	var mu sync.Mutex
 	var cbErr error
-	err := eng.RunBatchContext(ctx, specs, workers, func(i int, simRes sim.Result, err error, elapsed time.Duration) {
+	err := eng.RunBatchSlots(ctx, specs, slots, func(i int, simRes sim.Result, err error, elapsed time.Duration) {
 		if err != nil {
-			return // RunBatchContext returns the first error itself
+			return // RunBatchSlots returns the first error itself
 		}
 		if err := onResult(NewPointResult(points[i], keys[i], simRes, elapsed)); err != nil {
 			mu.Lock()
