@@ -39,7 +39,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzChunker -fuzztime=10s
 
 bench:
-	$(GO) test -bench=Figure -benchmem ./...
+	$(GO) test -bench='Figure|SourcesFor' -benchmem ./...
 
 # The simulator's benchmark (simbench/, its own Go module): its vet and
 # tests (the LRU L1-I model, replay equals live, fork batch equals

@@ -319,8 +319,8 @@ func loadSpec(path string) (sweep.Spec, error) {
 // runDistSweep executes the -dist-coordinator mode: the spec is
 // submitted to a remote iprefetchd's sweep API, its workers (its own
 // in-process one and any remote iprefetchworkers) run the grid, and
-// this process only polls progress and renders the artifacts the
-// daemon built.
+// this process only waits for it (dist.Client.WaitSweep) and renders
+// the artifacts the daemon built.
 func runDistSweep(ctx context.Context, path string) error {
 	spec, err := loadSpec(path)
 	if err != nil {
@@ -335,19 +335,15 @@ func runDistSweep(ctx context.Context, path string) error {
 		v.ID, v.Total, *distURL, v.Recovered)
 
 	start := time.Now()
-	for v.State == dist.SweepRunning {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Second):
-		}
-		if v, err = client.Sweep(ctx, v.ID); err != nil {
-			return err
-		}
-		if *verbose {
+	var progress func(dist.SweepView)
+	if *verbose {
+		progress = func(v dist.SweepView) {
 			fmt.Fprintf(os.Stderr, "sweep %s: %d/%d points (%d pending, %d leased)\n",
 				v.ID, v.Completed, v.Total, v.Pending, v.Leased)
 		}
+	}
+	if v, err = client.WaitSweep(ctx, v.ID, progress); err != nil {
+		return err
 	}
 	if v.State != dist.SweepCompleted {
 		return fmt.Errorf("sweep %s %s: %s", v.ID, v.State, v.Error)

@@ -295,6 +295,28 @@ func (c *Client) Sweep(ctx context.Context, id string) (SweepView, error) {
 	return v, err
 }
 
+// WaitSweep polls a sweep until it leaves the running state and returns
+// its final view. The first re-read follows 10ms after the first read
+// and the interval doubles up to 1s, so a short sweep is seen finished
+// within milliseconds and a long one costs one request a second.
+// progress, if non-nil, sees every view that is still running.
+func (c *Client) WaitSweep(ctx context.Context, id string, progress func(SweepView)) (SweepView, error) {
+	delay := 10 * time.Millisecond
+	for {
+		v, err := c.Sweep(ctx, id)
+		if err != nil || v.State != SweepRunning {
+			return v, err
+		}
+		if progress != nil {
+			progress(v)
+		}
+		if err := c.doSleep(ctx, delay); err != nil {
+			return v, err
+		}
+		delay = min(2*delay, time.Second)
+	}
+}
+
 // Artifact downloads one artifact of a completed sweep. Artifacts are
 // not all JSON (results.csv, pareto.csv), so the body comes back raw.
 func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -267,5 +268,43 @@ func TestClientRotatesToFallbackReplica(t *testing.T) {
 	}
 	if v.ID != "w-2" {
 		t.Fatalf("view = %+v", v)
+	}
+}
+
+// WaitSweep re-reads a running sweep with a doubling back-off from
+// 10ms, reports each running view, and returns the finished one.
+func TestClientWaitSweepBacksOff(t *testing.T) {
+	var reads int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/sweeps/sw1" {
+			http.NotFound(w, r)
+			return
+		}
+		v := SweepView{ID: "sw1", State: SweepRunning, Total: 4}
+		if n := atomic.AddInt32(&reads, 1); n >= 3 {
+			v.State, v.Completed = SweepCompleted, 4
+		}
+		json.NewEncoder(w).Encode(v)
+	}))
+	defer srv.Close()
+	c, fs := newThrottledClient(srv)
+
+	var seen []SweepState
+	v, err := c.WaitSweep(context.Background(), "sw1", func(v SweepView) { seen = append(seen, v.State) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != SweepCompleted || v.Completed != 4 {
+		t.Fatalf("WaitSweep returned %+v, want the completed view", v)
+	}
+	if len(seen) != 2 || seen[0] != SweepRunning || seen[1] != SweepRunning {
+		t.Fatalf("progress saw %v, want two running views", seen)
+	}
+	var total time.Duration
+	for _, d := range fs.durations() {
+		total += d
+	}
+	if n := atomic.LoadInt32(&reads); total != 30*time.Millisecond || n != 3 {
+		t.Fatalf("slept %v over %d reads, want 30ms over 3", fs.durations(), n)
 	}
 }

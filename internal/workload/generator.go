@@ -35,6 +35,8 @@ type Generator struct {
 	stack []frame
 	cur   frame
 
+	// nearZipf and farZipf are the program image's shared, read-only
+	// data samplers (see Program.dataSamplers).
 	nearZipf *rng.Zipf
 	farZipf  *rng.Zipf
 
@@ -69,26 +71,24 @@ func NewGenerator(prog *Program, seed uint64) *Generator {
 // control-flow walk (seeded separately) over the shared program image,
 // with private stack and near-data regions.
 func NewGeneratorThread(prog *Program, seed uint64, tid int) *Generator {
+	pr := &prog.Profile
 	g := &Generator{
-		prog:     prog,
-		r:        rng.New(seed ^ prog.Profile.Seed ^ (prog.ASID * 0x9e3779b9)),
-		stack:    make([]frame, 0, prog.Profile.MaxCallDepth+4),
-		nearZipf: rng.NewZipf(prog.Profile.NearDataBytes/64, prog.Profile.NearZipfS),
-		farZipf:  rng.NewZipf(prog.Profile.HotDataBytes/64, prog.Profile.DataZipfS),
-		base:     SpaceBase(prog.ASID),
+		prog:        prog,
+		r:           rng.New(seed ^ pr.Seed ^ (prog.ASID * 0x9e3779b9) ^ (uint64(tid) << 32)),
+		stack:       make([]frame, 0, pr.MaxCallDepth+4),
+		loadThr:     rng.BoolThreshold(pr.LoadsPerInstr),
+		storeThr:    rng.BoolThreshold(pr.StoresPerInstr),
+		stackThr:    rng.BoolThreshold(pr.PStack),
+		nearThr:     rng.BoolThreshold(pr.PStack + pr.PNear),
+		farThr:      rng.BoolThreshold(pr.PStack + pr.PNear + pr.PFar),
+		base:        SpaceBase(prog.ASID),
+		tidStackOff: isa.Addr(tid) * threadStackStride,
+		tidNearOff:  isa.Addr(tid) * threadNearStride,
 	}
-	if c := prog.Profile.ColdDataBytes; c&(c-1) == 0 {
+	g.nearZipf, g.farZipf = prog.dataSamplers()
+	if c := pr.ColdDataBytes; c&(c-1) == 0 {
 		g.coldMask = uint64(c - 1)
 	}
-	pr := &prog.Profile
-	g.loadThr = rng.BoolThreshold(pr.LoadsPerInstr)
-	g.storeThr = rng.BoolThreshold(pr.StoresPerInstr)
-	g.stackThr = rng.BoolThreshold(pr.PStack)
-	g.nearThr = rng.BoolThreshold(pr.PStack + pr.PNear)
-	g.farThr = rng.BoolThreshold(pr.PStack + pr.PNear + pr.PFar)
-	g.r = rng.New(seed ^ prog.Profile.Seed ^ (prog.ASID * 0x9e3779b9) ^ (uint64(tid) << 32))
-	g.tidStackOff = isa.Addr(tid) * threadStackStride
-	g.tidNearOff = isa.Addr(tid) * threadNearStride
 	g.cur = frame{fn: int32(g.dispatch()), blk: 0}
 	return g
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/rng"
@@ -87,6 +88,14 @@ type Program struct {
 	CodeBytes int
 
 	topZipf *rng.Zipf // top-level dispatch over user functions
+
+	// The near- and hot-data samplers, built on the first
+	// NewGeneratorThread rather than in BuildProgram: each holds one CDF
+	// entry per 64-byte line (tens of thousands for the server profiles),
+	// which callers that only describe an image should not pay for. Every
+	// thread of every machine walking this image shares them read-only.
+	dataOnce          sync.Once
+	nearZipf, farZipf *rng.Zipf
 }
 
 // Address-space layout (relative to the ASID base): user code, kernel
@@ -158,6 +167,17 @@ func BuildProgram(p Profile, asid uint64) (*Program, error) {
 		prog.Funcs = append(prog.Funcs, f)
 	}
 	return prog, nil
+}
+
+// dataSamplers returns the image's near- and hot-data samplers,
+// building them on first use. Safe for concurrent use.
+func (prog *Program) dataSamplers() (near, far *rng.Zipf) {
+	prog.dataOnce.Do(func() {
+		p := &prog.Profile
+		prog.nearZipf = rng.NewZipf(p.NearDataBytes/64, p.NearZipfS)
+		prog.farZipf = rng.NewZipf(p.HotDataBytes/64, p.DataZipfS)
+	})
+	return prog.nearZipf, prog.farZipf
 }
 
 // MustBuildProgram is BuildProgram that panics on error, for use with
