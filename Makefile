@@ -31,12 +31,13 @@ failover-race:
 advgen-smoke:
 	$(GO) run ./cmd/advgen -scheme discontinuity -seed 1 -iters 8 -assert-gain 1.05 -o /tmp/adv_smoke.json
 
-# Short fuzz passes over the trace codecs and the content-defined
-# chunker; CI runs the same smoke.
+# Short fuzz passes over the trace codecs, the content-defined chunker
+# and the line-keyed hash table; CI runs the same smoke.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzReader -fuzztime=10s
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzRoundTripV2 -fuzztime=10s
 	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzChunker -fuzztime=10s
+	$(GO) test ./internal/linetab -run='^$$' -fuzz=FuzzTable -fuzztime=10s
 
 bench:
 	$(GO) test -bench='Figure|SourcesFor' -benchmem ./...

@@ -10,14 +10,17 @@ import (
 	"repro/internal/tlb"
 )
 
+// The paper's prefetch queue and recent-demand-fetch filter hold 32
+// entries each (Section 4.1).
+const (
+	queueEntries  = 32
+	recentEntries = 32
+)
+
 // FrontEndConfig parameterises one core's instruction-fetch front-end.
 type FrontEndConfig struct {
 	// L1I is the instruction-cache geometry (paper: 32 KB, 4-way, 64 B).
 	L1I cache.Config
-	// QueueEntries sizes the prefetch queue (paper: 32).
-	QueueEntries int
-	// RecentEntries sizes the recent-demand-fetch filter (paper: 32).
-	RecentEntries int
 	// BypassL2 selects the Section 7 install policy: prefetch fills skip
 	// the L2 and are installed there only once proven useful.
 	BypassL2 bool
@@ -62,8 +65,6 @@ type FrontEndConfig struct {
 func DefaultFrontEndConfig() FrontEndConfig {
 	return FrontEndConfig{
 		L1I:            cache.Config{SizeBytes: 32 << 10, Assoc: 4, LineBytes: 64},
-		QueueEntries:   32,
-		RecentEntries:  32,
 		IssueSlotsHit:  4,
 		IssueSlotsMiss: 8,
 	}
@@ -114,10 +115,10 @@ func NewFrontEnd(cfg FrontEndConfig, pf prefetch.Prefetcher, mem *MemSystem, cs 
 		cfg:      cfg,
 		l1:       cache.New(cfg.L1I),
 		pf:       pf,
-		queue:    NewPrefetchQueue(cfg.QueueEntries),
-		recent:   NewRecentList(cfg.RecentEntries),
+		queue:    NewPrefetchQueue(queueEntries),
+		recent:   NewRecentList(recentEntries),
 		mem:      mem,
-		inflight: memory.NewInFlight(0),
+		inflight: memory.NewInFlight(),
 		cs:       cs,
 		candBuf:  make([]isa.Line, 0, 32),
 	}

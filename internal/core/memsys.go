@@ -49,7 +49,7 @@ func NewMemSystem(cfg MemSystemConfig) *MemSystem {
 		l2:        cache.New(cfg.L2),
 		l2Latency: cfg.L2LatencyCycles,
 		port:      memory.NewPort(cfg.Port),
-		inflight:  memory.NewInFlight(0),
+		inflight:  memory.NewInFlight(),
 		writeback: cfg.ModelWritebacks,
 		prefDepth: cfg.PrefetchInsert.DepthFor(cfg.L2.Assoc),
 	}

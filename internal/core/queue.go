@@ -9,6 +9,7 @@ package core
 
 import (
 	"repro/internal/isa"
+	"repro/internal/linetab"
 )
 
 // entryState tracks a prefetch-queue slot's lifecycle. The paper keeps
@@ -55,7 +56,7 @@ type PrefetchQueue struct {
 	entries []queueEntry
 	nextSeq uint64
 
-	idx *lineIndex // line → slot, for every non-empty slot
+	idx *linetab.Table[int32] // line → slot, for every non-empty slot
 
 	// Intrusive doubly-linked lists over slots, ordered by seq
 	// ascending (head = oldest). A slot is on the waiting list, on the
@@ -80,7 +81,7 @@ func NewPrefetchQueue(capacity int) *PrefetchQueue {
 	}
 	q := &PrefetchQueue{
 		entries: make([]queueEntry, capacity),
-		idx:     newLineIndex(capacity),
+		idx:     linetab.New[int32](4*capacity, 0),
 		next:    make([]int32, capacity),
 		prev:    make([]int32, capacity),
 	}
@@ -162,7 +163,7 @@ func (q *PrefetchQueue) markerInsert(s int32) {
 // as a duplicate.
 func (q *PrefetchQueue) Push(l isa.Line) bool {
 	q.pushed++
-	if slot, ok := q.idx.get(l); ok {
+	if slot, ok := q.idx.Get(l); ok {
 		e := &q.entries[slot]
 		if e.state == stateWaiting {
 			// Hoist: make it the newest so LIFO issue picks it next.
@@ -186,17 +187,18 @@ func (q *PrefetchQueue) Push(l isa.Line) bool {
 	case q.mHead >= 0:
 		slot = q.mHead
 		q.listRemove(&q.mHead, &q.mTail, slot)
-		q.idx.del(q.entries[slot].line)
+		q.idx.Delete(q.entries[slot].line)
 	default:
 		q.droppedOld++
 		slot = q.wHead
 		q.listRemove(&q.wHead, &q.wTail, slot)
-		q.idx.del(q.entries[slot].line)
+		q.idx.Delete(q.entries[slot].line)
 		q.waiting--
 	}
 	q.nextSeq++
 	q.entries[slot] = queueEntry{line: l, state: stateWaiting, seq: q.nextSeq}
-	q.idx.set(l, slot)
+	p, _ := q.idx.Ref(l)
+	*p = slot
 	q.listAppend(&q.wHead, &q.wTail, slot)
 	q.waiting++
 	return true
@@ -230,7 +232,7 @@ func (q *PrefetchQueue) popSlot(slot int32) (isa.Line, bool) {
 // fetch supersedes the prefetch). It returns true if an entry was
 // invalidated.
 func (q *PrefetchQueue) OnDemandFetch(l isa.Line) bool {
-	slot, ok := q.idx.get(l)
+	slot, ok := q.idx.Get(l)
 	if !ok || q.entries[slot].state != stateWaiting {
 		return false
 	}
@@ -265,7 +267,7 @@ func (q *PrefetchQueue) Reset() {
 	for i := range q.entries {
 		q.entries[i] = queueEntry{}
 	}
-	q.idx.reset()
+	q.idx.Reset()
 	q.wHead, q.wTail, q.mHead, q.mTail = -1, -1, -1, -1
 	q.waiting = 0
 	q.filled = 0
@@ -288,7 +290,7 @@ type RecentList struct {
 	ring   []isa.Line
 	used   int
 	head   int
-	counts *lineIndex
+	counts *linetab.Table[int32]
 }
 
 // NewRecentList creates a list tracking the last n demand fetches
@@ -297,31 +299,36 @@ func NewRecentList(n int) *RecentList {
 	if n < 1 {
 		panic("core: recent list size must be >= 1")
 	}
-	return &RecentList{ring: make([]isa.Line, n), counts: newLineIndex(n)}
+	return &RecentList{ring: make([]isa.Line, n), counts: linetab.New[int32](4*n, 0)}
 }
 
 // Add records a demand fetch, forgetting the oldest one when full.
 func (r *RecentList) Add(l isa.Line) {
 	if r.used == len(r.ring) {
-		r.counts.dec(r.ring[r.head])
+		old := r.ring[r.head]
+		if c := r.counts.Ptr(old); *c > 1 {
+			*c--
+		} else {
+			r.counts.Delete(old)
+		}
 	}
 	r.ring[r.head] = l
 	r.head = (r.head + 1) % len(r.ring)
 	if r.used < len(r.ring) {
 		r.used++
 	}
-	r.counts.inc(l)
+	c, _ := r.counts.Ref(l)
+	*c++
 }
 
 // Contains reports whether l is among the tracked recent fetches.
 func (r *RecentList) Contains(l isa.Line) bool {
-	_, ok := r.counts.get(l)
-	return ok
+	return r.counts.Ptr(l) != nil
 }
 
 // Reset forgets all history.
 func (r *RecentList) Reset() {
 	r.used = 0
 	r.head = 0
-	r.counts.reset()
+	r.counts.Reset()
 }

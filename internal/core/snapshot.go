@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/linetab"
 	"repro/internal/memory"
 	"repro/internal/prefetch"
 )
@@ -14,31 +15,13 @@ import (
 // diverge batched sweeps. A snapshot is pristine: restoring copies FROM
 // it, so the same snapshot can seed any number of machines.
 
-// lineIndexState is a deep copy of a lineIndex's slot array (mask and
-// shift are construction-time constants of the table size).
-type lineIndexState struct {
-	slots []lineSlot
-}
-
-func (t *lineIndex) snapshot() *lineIndexState {
-	return &lineIndexState{slots: append([]lineSlot(nil), t.slots...)}
-}
-
-func (t *lineIndex) restore(s *lineIndexState) error {
-	if s == nil || len(s.slots) != len(t.slots) {
-		return fmt.Errorf("core: line index restore sizing mismatch")
-	}
-	copy(t.slots, s.slots)
-	return nil
-}
-
 // queueState is a deep copy of a PrefetchQueue: slots, both intrusive
 // lists, the line index, and the lifetime counters (which feed the
 // post-warm-up statistics baselines).
 type queueState struct {
 	entries []queueEntry
 	nextSeq uint64
-	idx     *lineIndexState
+	idx     *linetab.Table[int32]
 	next    []int32
 	prev    []int32
 	wHead   int32
@@ -59,7 +42,7 @@ func (q *PrefetchQueue) snapshot() *queueState {
 	return &queueState{
 		entries:     append([]queueEntry(nil), q.entries...),
 		nextSeq:     q.nextSeq,
-		idx:         q.idx.snapshot(),
+		idx:         q.idx.Clone(),
 		next:        append([]int32(nil), q.next...),
 		prev:        append([]int32(nil), q.prev...),
 		wHead:       q.wHead,
@@ -80,9 +63,7 @@ func (q *PrefetchQueue) restore(s *queueState) error {
 	if s == nil || len(s.entries) != len(q.entries) {
 		return fmt.Errorf("core: prefetch queue restore sizing mismatch")
 	}
-	if err := q.idx.restore(s.idx); err != nil {
-		return err
-	}
+	q.idx.CopyFrom(s.idx)
 	copy(q.entries, s.entries)
 	q.nextSeq = s.nextSeq
 	copy(q.next, s.next)
@@ -103,7 +84,7 @@ type recentState struct {
 	ring   []isa.Line
 	used   int
 	head   int
-	counts *lineIndexState
+	counts *linetab.Table[int32]
 }
 
 func (r *RecentList) snapshot() *recentState {
@@ -111,7 +92,7 @@ func (r *RecentList) snapshot() *recentState {
 		ring:   append([]isa.Line(nil), r.ring...),
 		used:   r.used,
 		head:   r.head,
-		counts: r.counts.snapshot(),
+		counts: r.counts.Clone(),
 	}
 }
 
@@ -119,9 +100,7 @@ func (r *RecentList) restore(s *recentState) error {
 	if s == nil || len(s.ring) != len(r.ring) {
 		return fmt.Errorf("core: recent list restore sizing mismatch")
 	}
-	if err := r.counts.restore(s.counts); err != nil {
-		return err
-	}
+	r.counts.CopyFrom(s.counts)
 	copy(r.ring, s.ring)
 	r.used = s.used
 	r.head = s.head

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -42,9 +43,9 @@ func TestQueueSnapshotRoundTrip(t *testing.T) {
 	if err := b.restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if b.Waiting() != a.Waiting() || b.DroppedDup() != a.DroppedDup() ||
-		b.DroppedOverflow() != a.DroppedOverflow() || b.Hoisted() != a.Hoisted() {
-		t.Fatal("queue counters lost across restore")
+	// The whole state comes back: no field is left out on purpose.
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("restored queue differs from its source")
 	}
 	want := churnQueue(a, 7, 500)
 	if got := churnQueue(b, 7, 500); !equalLines(want, got) {
@@ -80,6 +81,9 @@ func TestRecentListSnapshotRoundTrip(t *testing.T) {
 	b := NewRecentList(8)
 	if err := b.restore(snap); err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("restored list differs from its source")
 	}
 	// Contains must agree over the whole line space, and stay in
 	// lockstep through further identical churn.

@@ -363,13 +363,16 @@ func TestWritePromIncludesWorkerSeries(t *testing.T) {
 		"iprefetchd_dist_leases_granted_total",
 		"iprefetchd_dist_points_completed_total",
 		"iprefetchd_dist_leases_outstanding 0",
-		"iprefetchd_dist_sweeps_running 0",
 		`iprefetchd_dist_worker_points_total{worker="` + w.ID + `/prom-worker"}`,
 		`iprefetchd_dist_worker_alive{worker="` + w.ID + `/prom-worker"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	// The service exposes the sweep counters, from the same snapshot.
+	if strings.Contains(out, "iprefetchd_dist_sweeps_") {
+		t.Fatalf("exposition repeats the service's sweep series:\n%s", out)
 	}
 }
 

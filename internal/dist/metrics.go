@@ -79,6 +79,8 @@ func labelValue(s string) string {
 // WriteProm renders the coordinator's metrics in Prometheus text
 // exposition format: scheduler counters, lease/worker gauges, and
 // per-worker throughput (points/sec since registration) and liveness.
+// Sweep counts are left to the service's iprefetchd_sweeps_* series,
+// which read the same Snapshot.
 func (c *Coordinator) WriteProm(w io.Writer) {
 	now := time.Now()
 	c.mu.Lock()
@@ -100,20 +102,13 @@ func (c *Coordinator) WriteProm(w io.Writer) {
 	counter("iprefetchd_dist_points_duplicate_total", "Idempotent re-deliveries of already-completed points.", c.metrics.pointsDuplicate)
 	counter("iprefetchd_dist_points_recovered_total", "Grid points replayed from the journal at submission.", c.metrics.pointsRecovered)
 	counter("iprefetchd_dist_points_reinjected_total", "Grid points requeued after a lease expired or failed.", c.metrics.pointsReinjected)
-	counter("iprefetchd_dist_sweeps_submitted_total", "Sweeps accepted by the coordinator.", c.metrics.sweepsSubmitted)
-	counter("iprefetchd_dist_sweeps_completed_total", "Sweeps finished successfully.", c.metrics.sweepsCompleted)
-	counter("iprefetchd_dist_sweeps_failed_total", "Sweeps failed (a point failed in process or ran out of retries).", c.metrics.sweepsFailed)
 	gauge("iprefetchd_dist_leases_outstanding", "Leases currently held by workers.", int64(len(c.leases)))
 
-	pending, running := 0, 0
+	pending := 0
 	for _, ds := range c.sweeps {
 		pending += len(ds.pending)
-		if ds.sstate == SweepRunning {
-			running++
-		}
 	}
 	gauge("iprefetchd_dist_points_pending", "Grid points waiting to be leased.", int64(pending))
-	gauge("iprefetchd_dist_sweeps_running", "Sweeps currently executing.", int64(running))
 
 	ids := make([]string, 0, len(c.workers))
 	for id := range c.workers {

@@ -10,7 +10,10 @@
 // limits-study gains.
 package memory
 
-import "repro/internal/isa"
+import (
+	"repro/internal/isa"
+	"repro/internal/linetab"
+)
 
 // PortConfig describes the off-chip link and DRAM.
 type PortConfig struct {
@@ -90,173 +93,68 @@ func (p *Port) Reset() {
 // hide part of the miss latency.
 //
 // Every instruction fetch, data access and prefetch issue consults this
-// tracker, so it is implemented as an open-addressed hash table (linear
-// probing, backward-shift deletion) rather than a Go map: the table
-// keeps keys and completion times in flat arrays with no per-operation
-// allocation or hashing indirection. The tracked set and every query
-// result are identical to the previous map-backed implementation.
+// tracker, so it is a line-keyed hash table (linetab) starting at 64
+// slots and doubling past half load, not a Go map.
 type InFlight struct {
-	keys  []isa.Line
-	vals  []uint64
-	live  []bool
-	mask  uint64
-	shift uint
-	n     int
-	cap   int
+	t *linetab.Table[uint64] // line → completion cycle
 }
 
-// NewInFlight creates a tracker with the given capacity. Capacity 0
-// means unbounded.
-func NewInFlight(capacity int) *InFlight {
-	f := &InFlight{cap: capacity}
-	f.alloc(64)
-	return f
+// NewInFlight creates an empty, unbounded tracker.
+func NewInFlight() *InFlight {
+	return &InFlight{t: linetab.New[uint64](64, 0)}
 }
 
-func (f *InFlight) alloc(size int) {
-	f.keys = make([]isa.Line, size)
-	f.vals = make([]uint64, size)
-	f.live = make([]bool, size)
-	f.mask = uint64(size - 1)
-	shift := uint(0)
-	for s := size; s > 1; s >>= 1 {
-		shift++
+// Start records that line l completes at the given cycle. Starting an
+// already-tracked line keeps the earlier completion time.
+func (f *InFlight) Start(l isa.Line, completeAt uint64) {
+	c, ok := f.t.Ref(l)
+	if !ok || completeAt < *c {
+		*c = completeAt
 	}
-	f.shift = 64 - shift
-}
-
-// home returns the key's preferred table position (Fibonacci hashing:
-// line addresses are near-sequential and need multiplicative mixing).
-func (f *InFlight) home(l isa.Line) uint64 {
-	const phi = 0x9E3779B97F4A7C15
-	return (uint64(l) * phi) >> f.shift
-}
-
-// grow doubles the table and rehashes all live entries.
-func (f *InFlight) grow() {
-	keys, vals, live := f.keys, f.vals, f.live
-	f.alloc(2 * len(keys))
-	for i, ok := range live {
-		if !ok {
-			continue
-		}
-		l, v := keys[i], vals[i]
-		for h := f.home(l); ; h = (h + 1) & f.mask {
-			if !f.live[h] {
-				f.keys[h], f.vals[h], f.live[h] = l, v, true
-				break
-			}
-		}
+	if 2*f.t.Len() > f.t.Size() {
+		f.t.Grow()
 	}
-}
-
-// remove deletes the entry at table position h, compacting the probe
-// chain behind it (backward-shift deletion for linear probing).
-func (f *InFlight) remove(h uint64) {
-	i := h
-	f.live[i] = false
-	f.n--
-	for j := (i + 1) & f.mask; f.live[j]; j = (j + 1) & f.mask {
-		k := f.home(f.keys[j])
-		// Move j's entry into the hole at i unless its home position
-		// lies strictly inside the cyclic interval (i, j].
-		var inInterval bool
-		if i < j {
-			inInterval = k > i && k <= j
-		} else {
-			inInterval = k > i || k <= j
-		}
-		if !inInterval {
-			f.keys[i], f.vals[i], f.live[i] = f.keys[j], f.vals[j], true
-			f.live[j] = false
-			i = j
-		}
-	}
-}
-
-// Start records that line l completes at the given cycle. It returns
-// false (and records nothing) when the tracker is full, modelling MSHR
-// exhaustion. Starting an already-tracked line keeps the earlier
-// completion time.
-func (f *InFlight) Start(l isa.Line, completeAt uint64) bool {
-	h := f.home(l)
-	for ; f.live[h]; h = (h + 1) & f.mask {
-		if f.keys[h] == l {
-			if completeAt < f.vals[h] {
-				f.vals[h] = completeAt
-			}
-			return true
-		}
-	}
-	if f.cap > 0 && f.n >= f.cap {
-		return false
-	}
-	f.keys[h], f.vals[h], f.live[h] = l, completeAt, true
-	f.n++
-	if 2*f.n > len(f.keys) {
-		f.grow()
-	}
-	return true
 }
 
 // Lookup returns the completion cycle for line l if it is in flight at
 // cycle now. Entries whose completion is at or before now are treated as
 // landed and removed.
 func (f *InFlight) Lookup(l isa.Line, now uint64) (uint64, bool) {
-	for h := f.home(l); f.live[h]; h = (h + 1) & f.mask {
-		if f.keys[h] != l {
-			continue
-		}
-		if c := f.vals[h]; c > now {
-			return c, true
-		}
-		f.remove(h)
+	c, ok := f.t.Get(l)
+	if !ok {
 		return 0, false
 	}
+	if c > now {
+		return c, true
+	}
+	f.t.Delete(l)
 	return 0, false
 }
 
 // Contains reports whether l is tracked (regardless of completion time).
 func (f *InFlight) Contains(l isa.Line) bool {
-	for h := f.home(l); f.live[h]; h = (h + 1) & f.mask {
-		if f.keys[h] == l {
-			return true
-		}
-	}
-	return false
+	return f.t.Ptr(l) != nil
 }
 
 // Complete removes line l from the tracker (its fill has been consumed).
 func (f *InFlight) Complete(l isa.Line) {
-	for h := f.home(l); f.live[h]; h = (h + 1) & f.mask {
-		if f.keys[h] == l {
-			f.remove(h)
-			return
-		}
-	}
+	f.t.Delete(l)
 }
 
 // Expire removes all entries whose completion cycle is at or before now.
-// The simulator calls it periodically to bound table growth. Landed
-// entries are collected first and then deleted one by one, because
+// The simulator calls it periodically to bound table growth. The keys
+// are collected first and then deleted one by one, because
 // backward-shift deletion moves entries while a scan is in progress.
 func (f *InFlight) Expire(now uint64) {
-	var landed []isa.Line
-	for i, ok := range f.live {
-		if ok && f.vals[i] <= now {
-			landed = append(landed, f.keys[i])
+	for _, l := range f.t.Keys(nil) {
+		if c, _ := f.t.Get(l); c <= now {
+			f.t.Delete(l)
 		}
-	}
-	for _, l := range landed {
-		f.Complete(l)
 	}
 }
 
 // Len returns the number of in-flight lines.
-func (f *InFlight) Len() int { return f.n }
+func (f *InFlight) Len() int { return f.t.Len() }
 
 // Reset clears all entries.
-func (f *InFlight) Reset() {
-	clear(f.live)
-	f.n = 0
-}
+func (f *InFlight) Reset() { f.t.Reset() }

@@ -76,7 +76,7 @@ func TestPortReset(t *testing.T) {
 }
 
 func TestInFlightBasics(t *testing.T) {
-	f := NewInFlight(0)
+	f := NewInFlight()
 	f.Start(isa.Line(5), 100)
 	c, ok := f.Lookup(5, 50)
 	if !ok || c != 100 {
@@ -92,7 +92,7 @@ func TestInFlightBasics(t *testing.T) {
 }
 
 func TestInFlightKeepsEarlierCompletion(t *testing.T) {
-	f := NewInFlight(0)
+	f := NewInFlight()
 	f.Start(1, 100)
 	f.Start(1, 200) // later fill of same line must not delay it
 	c, _ := f.Lookup(1, 0)
@@ -106,26 +106,8 @@ func TestInFlightKeepsEarlierCompletion(t *testing.T) {
 	}
 }
 
-func TestInFlightCapacity(t *testing.T) {
-	f := NewInFlight(2)
-	if !f.Start(1, 10) || !f.Start(2, 10) {
-		t.Fatal("starts under capacity failed")
-	}
-	if f.Start(3, 10) {
-		t.Fatal("start above capacity succeeded")
-	}
-	// Re-starting a tracked line is always allowed.
-	if !f.Start(1, 20) {
-		t.Fatal("re-start of tracked line failed")
-	}
-	f.Complete(1)
-	if !f.Start(3, 10) {
-		t.Fatal("start after Complete failed")
-	}
-}
-
 func TestInFlightExpire(t *testing.T) {
-	f := NewInFlight(0)
+	f := NewInFlight()
 	f.Start(1, 10)
 	f.Start(2, 20)
 	f.Start(3, 30)
@@ -186,7 +168,7 @@ func BenchmarkPortRequest(b *testing.B) {
 }
 
 func BenchmarkInFlightStartLookup(b *testing.B) {
-	f := NewInFlight(0)
+	f := NewInFlight()
 	for i := 0; i < b.N; i++ {
 		l := isa.Line(i & 1023)
 		f.Start(l, uint64(i+100))

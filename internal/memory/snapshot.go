@@ -3,7 +3,7 @@ package memory
 import (
 	"fmt"
 
-	"repro/internal/isa"
+	"repro/internal/linetab"
 )
 
 // PortSnapshot is a deep copy of a port's dynamic state.
@@ -30,44 +30,24 @@ func (p *Port) Restore(s *PortSnapshot) error {
 }
 
 // InFlightSnapshot is a deep copy of an in-flight tracker's table. The
-// whole open-addressed table (including its current size) is captured so
-// a restore reproduces probe order bit-for-bit.
+// whole table (including its current size) is captured so a restore
+// reproduces probe order bit-for-bit.
 type InFlightSnapshot struct {
-	keys  []isa.Line
-	vals  []uint64
-	live  []bool
-	mask  uint64
-	shift uint
-	n     int
+	t *linetab.Table[uint64]
 }
 
 // Snapshot captures the tracker's current state.
 func (f *InFlight) Snapshot() *InFlightSnapshot {
-	return &InFlightSnapshot{
-		keys:  append([]isa.Line(nil), f.keys...),
-		vals:  append([]uint64(nil), f.vals...),
-		live:  append([]bool(nil), f.live...),
-		mask:  f.mask,
-		shift: f.shift,
-		n:     f.n,
-	}
+	return &InFlightSnapshot{t: f.t.Clone()}
 }
 
 // Restore overwrites the tracker's state with a copy of the snapshot's.
-// The target's table is re-sized to the snapshot's (the tracker grows
+// The target's table adopts the snapshot's size (the tracker grows
 // dynamically, so sizes legitimately differ across machines).
 func (f *InFlight) Restore(s *InFlightSnapshot) error {
 	if s == nil {
 		return fmt.Errorf("memory: restore in-flight tracker from nil snapshot")
 	}
-	if len(f.keys) != len(s.keys) {
-		f.alloc(len(s.keys))
-	}
-	copy(f.keys, s.keys)
-	copy(f.vals, s.vals)
-	copy(f.live, s.live)
-	f.mask = s.mask
-	f.shift = s.shift
-	f.n = s.n
+	f.t.CopyFrom(s.t)
 	return nil
 }

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -34,7 +35,7 @@ func TestPortSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestInFlightSnapshotRoundTrip(t *testing.T) {
-	a := NewInFlight(0)
+	a := NewInFlight()
 	x := uint64(42)
 	for i := 0; i < 200; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -52,22 +53,21 @@ func TestInFlightSnapshotRoundTrip(t *testing.T) {
 
 	// The tracker grows dynamically, so restore must adopt the
 	// snapshot's table size even when the target's table grew
-	// differently (capacity is construction-time behaviour and must
-	// match, like cache geometry).
-	b := NewInFlight(0)
+	// differently.
+	b := NewInFlight()
 	y := uint64(7)
 	for i := 0; i < 500; i++ {
 		y = y*6364136223846793005 + 1442695040888963407
 		b.Start(isa.Line(y>>20&0xFFFF), uint64(i)+1000)
 	}
-	if len(b.keys) == len(a.keys) {
+	if b.t.Size() == a.t.Size() {
 		t.Fatal("test setup: tables grew to the same size; grow the churn")
 	}
 	if err := b.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != a.Len() {
-		t.Fatalf("live-entry count lost: %d vs %d", b.Len(), a.Len())
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("restored tracker differs from its source")
 	}
 	// Identical further operations produce identical lookups (probe
 	// order included).

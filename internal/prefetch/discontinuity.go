@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/isa"
+	"repro/internal/linetab"
 )
 
 // DiscontinuityConfig parameterises the paper's discontinuity prefetcher
@@ -131,10 +132,10 @@ type Discontinuity struct {
 	valid    []bool
 
 	// pending maps issued target lines to the table slot that predicted
-	// them, for usefulness credit. A fixed-size open-addressed table
-	// (not a Go map — this is written on every probe hit); bounded, and
-	// stale entries are simply dropped.
-	pending *creditTable
+	// them, for usefulness credit. A bounded line table, not a Go map:
+	// it is written on every probe hit, and at capacity it drops a
+	// stale credit deterministically.
+	pending *linetab.Table[int32]
 
 	allocations  uint64
 	replacements uint64
@@ -145,9 +146,11 @@ type Discontinuity struct {
 	// targetSlots maps target lines to predicting slots for confidence
 	// feedback on L1 evictions; bounded like pending, and only
 	// allocated when the confidence filter is active.
-	targetSlots *creditTable
+	targetSlots *linetab.Table[int32]
 }
 
+// pendingCap bounds pending; both credit tables get twice their bound
+// in slots, so probes stay short up to it.
 const pendingCap = 512
 
 // NewDiscontinuity builds the prefetcher, panicking on invalid
@@ -180,10 +183,10 @@ func NewDiscontinuity(cfg DiscontinuityConfig) *Discontinuity {
 		ctr:      make([]uint8, cfg.TableEntries),
 		conf:     make([]uint8, cfg.TableEntries),
 		valid:    make([]bool, cfg.TableEntries),
-		pending:  newCreditTable(pendingCap),
+		pending:  linetab.New[int32](2*pendingCap, pendingCap),
 	}
 	if cfg.ConfidenceFilter {
-		p.targetSlots = newCreditTable(4 * pendingCap)
+		p.targetSlots = linetab.New[int32](8*pendingCap, 4*pendingCap)
 	}
 	return p
 }
@@ -234,9 +237,11 @@ func (p *Discontinuity) OnFetch(ev Event, out []isa.Line) []isa.Line {
 // increment its counter. Both tables evict a stale credit when full;
 // losing credit is harmless.
 func (p *Discontinuity) credit(target isa.Line, slot int32) {
-	p.pending.put(target, slot)
+	c, _ := p.pending.Ref(target)
+	*c = slot
 	if p.cfg.ConfidenceFilter {
-		p.targetSlots.put(target, slot)
+		c, _ = p.targetSlots.Ref(target)
+		*c = slot
 	}
 }
 
@@ -248,12 +253,12 @@ func (p *Discontinuity) OnL1Eviction(line isa.Line, wasUsed bool) {
 	if !p.cfg.ConfidenceFilter {
 		return
 	}
-	slot, ok := p.targetSlots.get(line)
+	slot, ok := p.targetSlots.Get(line)
 	if !ok {
 		return
 	}
 	if !p.valid[slot] || p.targets[slot] != line {
-		p.targetSlots.del(line)
+		p.targetSlots.Delete(line)
 		return
 	}
 	if wasUsed {
@@ -316,11 +321,11 @@ func (p *Discontinuity) setEntry(h uint64, trigger, target isa.Line) {
 
 // OnPrefetchUseful implements Prefetcher: credit the predicting entry.
 func (p *Discontinuity) OnPrefetchUseful(line isa.Line) {
-	slot, ok := p.pending.get(line)
+	slot, ok := p.pending.Get(line)
 	if !ok {
 		return
 	}
-	p.pending.del(line)
+	p.pending.Delete(line)
 	if p.valid[slot] && p.targets[slot] == line && p.ctr[slot] < p.cfg.CounterMax {
 		p.ctr[slot]++
 	}
@@ -333,9 +338,9 @@ func (p *Discontinuity) Reset() {
 	clear(p.ctr)
 	clear(p.conf)
 	clear(p.valid)
-	p.pending.reset()
+	p.pending.Reset()
 	if p.targetSlots != nil {
-		p.targetSlots.reset()
+		p.targetSlots.Reset()
 	}
 	p.allocations = 0
 	p.replacements = 0

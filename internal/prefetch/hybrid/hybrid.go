@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"repro/internal/isa"
+	"repro/internal/linetab"
 	"repro/internal/prefetch"
 )
 
@@ -147,9 +148,11 @@ type Composite struct {
 	credit  [][]uint8 // [component][slot]
 
 	// attr owns lines the arbiter emitted; shadow remembers suppressed
-	// proposals. Both are first-proposer-wins (see ownerTable).
-	attr   *ownerTable
-	shadow *ownerTable
+	// proposals. Both map a line to its packed owner, bounded at
+	// OwnerEntries in twice as many slots, first proposer wins (see
+	// arbitrate).
+	attr   *linetab.Table[uint32]
+	shadow *linetab.Table[uint32]
 
 	stats   []compStats // len(comps)+1; last is the unattributed bucket
 	ewma    []uint32    // per-component accuracy estimate, 16-bit fraction
@@ -181,8 +184,8 @@ func NewComposite(name string, comps []prefetch.Prefetcher, cfg Config) *Composi
 		pcTags:  make([]isa.Line, cfg.TableEntries),
 		pcValid: make([]bool, cfg.TableEntries),
 		credit:  make([][]uint8, len(comps)),
-		attr:    newOwnerTable(cfg.OwnerEntries),
-		shadow:  newOwnerTable(cfg.OwnerEntries),
+		attr:    linetab.New[uint32](2*cfg.OwnerEntries, cfg.OwnerEntries),
+		shadow:  linetab.New[uint32](2*cfg.OwnerEntries, cfg.OwnerEntries),
 		stats:   make([]compStats, len(comps)+1),
 		ewma:    make([]uint32, len(comps)),
 		scratch: make([]isa.Line, 0, 32),
@@ -283,6 +286,13 @@ func (c *Composite) OnFetch(ev prefetch.Event, out []isa.Line) []isa.Line {
 
 // arbitrate routes one component's candidate batch: emit while the
 // component holds credit at this PC slot, shadow otherwise.
+//
+// An owner record is never overwritten: the first proposer wins, which
+// matters for attribution. The prefetch queue dedups candidates, so when
+// two components propose the same line only the first proposal claims
+// the queue slot and becomes the issued prefetch; a last-writer-wins
+// record would credit the useful fill to a component whose proposal was
+// discarded.
 func (c *Composite) arbitrate(i int, slot uint64, cands []isa.Line, out []isa.Line) []isa.Line {
 	st := &c.stats[i]
 	st.generated += uint64(len(cands))
@@ -295,12 +305,16 @@ func (c *Composite) arbitrate(i int, slot uint64, cands []isa.Line, out []isa.Li
 		st.emitted += uint64(len(cands))
 		for _, l := range cands {
 			out = append(out, l)
-			c.attr.putIfAbsent(l, owner)
+			if o, ok := c.attr.Ref(l); !ok {
+				*o = owner
+			}
 		}
 	} else {
 		st.suppressed += uint64(len(cands))
 		for _, l := range cands {
-			c.shadow.putIfAbsent(l, owner)
+			if o, ok := c.shadow.Ref(l); !ok {
+				*o = owner
+			}
 		}
 	}
 	return out
@@ -341,7 +355,7 @@ func (c *Composite) OnBranch(takenLine, fallLine isa.Line, followedTaken bool, o
 // issued a fill for line; charge it to the owning component, or to the
 // unattributed bucket when the owner record is gone (table pressure).
 func (c *Composite) OnPrefetchIssued(line isa.Line) {
-	if v, ok := c.attr.get(line); ok {
+	if v, ok := c.attr.Get(line); ok {
 		comp, _ := unpack(v)
 		c.stats[comp].issued++
 		return
@@ -356,7 +370,7 @@ func (c *Composite) OnPrefetchIssued(line isa.Line) {
 // keeps gating reversible.
 func (c *Composite) OnPrefetchUseful(line isa.Line) {
 	ownerComp := -1
-	if v, ok := c.attr.get(line); ok {
+	if v, ok := c.attr.Get(line); ok {
 		comp, slot := unpack(v)
 		ownerComp = comp
 		st := &c.stats[comp]
@@ -367,9 +381,9 @@ func (c *Composite) OnPrefetchUseful(line isa.Line) {
 	} else {
 		c.stats[len(c.comps)].useful++
 	}
-	if v, ok := c.shadow.get(line); ok {
+	if v, ok := c.shadow.Get(line); ok {
 		comp, slot := unpack(v)
-		c.shadow.del(line)
+		c.shadow.Delete(line)
 		if comp != ownerComp {
 			c.stats[comp].shadowUseful++
 			c.bumpCredit(comp, slot)
@@ -401,9 +415,9 @@ func (c *Composite) bumpEWMA(comp int, useful bool) {
 // owner's credit at the proposing PC drops, as does its accuracy
 // estimate. The eviction is then forwarded to observing components.
 func (c *Composite) OnL1Eviction(line isa.Line, wasUsed bool) {
-	if v, ok := c.attr.get(line); ok {
+	if v, ok := c.attr.Get(line); ok {
 		comp, slot := unpack(v)
-		c.attr.del(line)
+		c.attr.Delete(line)
 		if !wasUsed {
 			if c.credit[comp][slot] > 0 {
 				c.credit[comp][slot]--
@@ -411,7 +425,7 @@ func (c *Composite) OnL1Eviction(line isa.Line, wasUsed bool) {
 			c.bumpEWMA(comp, false)
 		}
 	}
-	c.shadow.del(line)
+	c.shadow.Delete(line)
 	for _, eo := range c.evict {
 		if eo != nil {
 			eo.OnL1Eviction(line, wasUsed)
@@ -456,8 +470,8 @@ func (c *Composite) Reset() {
 		clear(c.credit[i])
 		c.ewma[i] = ewmaOne / 2
 	}
-	c.attr.reset()
-	c.shadow.reset()
+	c.attr.Reset()
+	c.shadow.Reset()
 	for i := range c.stats {
 		c.stats[i] = compStats{}
 	}

@@ -4,43 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/linetab"
 	"repro/internal/prefetch"
 )
-
-// ownerState is a deep copy of an ownerTable. Like the prefetch
-// package's creditState, the whole open-addressed array is captured so
-// a restore reproduces probe order and eviction choices bit-for-bit.
-type ownerState struct {
-	keys []isa.Line
-	vals []uint32
-	live []bool
-	n    int
-}
-
-// snapshot deep-copies the table's dynamic state.
-func (t *ownerTable) snapshot() *ownerState {
-	return &ownerState{
-		keys: append([]isa.Line(nil), t.keys...),
-		vals: append([]uint32(nil), t.vals...),
-		live: append([]bool(nil), t.live...),
-		n:    t.n,
-	}
-}
-
-// restore overwrites the table's state with a copy of the snapshot's.
-func (t *ownerTable) restore(s *ownerState) error {
-	if s == nil {
-		return fmt.Errorf("hybrid: owner table restore from nil snapshot")
-	}
-	if len(s.keys) != len(t.keys) {
-		return fmt.Errorf("hybrid: owner table restore sizing mismatch: %d into %d", len(s.keys), len(t.keys))
-	}
-	copy(t.keys, s.keys)
-	copy(t.vals, s.vals)
-	copy(t.live, s.live)
-	t.n = s.n
-	return nil
-}
 
 // compositeState is the dynamic state of a Composite: the arbitration
 // table (tags + per-component credit rows), both owner tables, the
@@ -50,8 +16,8 @@ type compositeState struct {
 	pcTags  []isa.Line
 	pcValid []bool
 	credit  [][]uint8
-	attr    *ownerState
-	shadow  *ownerState
+	attr    *linetab.Table[uint32]
+	shadow  *linetab.Table[uint32]
 	stats   []compStats
 	ewma    []uint32
 	comps   []any
@@ -66,8 +32,8 @@ func (c *Composite) SnapshotState() any {
 		pcTags:  append([]isa.Line(nil), c.pcTags...),
 		pcValid: append([]bool(nil), c.pcValid...),
 		credit:  make([][]uint8, len(c.credit)),
-		attr:    c.attr.snapshot(),
-		shadow:  c.shadow.snapshot(),
+		attr:    c.attr.Clone(),
+		shadow:  c.shadow.Clone(),
 		stats:   append([]compStats(nil), c.stats...),
 		ewma:    append([]uint32(nil), c.ewma...),
 		comps:   make([]any, len(c.comps)),
@@ -95,21 +61,17 @@ func (c *Composite) RestoreState(state any) error {
 	if !ok {
 		return fmt.Errorf("hybrid: composite restore from %T", state)
 	}
-	if len(s.pcTags) != len(c.pcTags) || len(s.comps) != len(c.comps) {
-		return fmt.Errorf("hybrid: composite restore sizing mismatch: %d slots/%d comps into %d/%d",
-			len(s.pcTags), len(s.comps), len(c.pcTags), len(c.comps))
+	if len(s.pcTags) != len(c.pcTags) || len(s.comps) != len(c.comps) || s.attr.Size() != c.attr.Size() {
+		return fmt.Errorf("hybrid: composite restore sizing mismatch: %d slots/%d comps/%d owner slots into %d/%d/%d",
+			len(s.pcTags), len(s.comps), s.attr.Size(), len(c.pcTags), len(c.comps), c.attr.Size())
 	}
 	copy(c.pcTags, s.pcTags)
 	copy(c.pcValid, s.pcValid)
 	for i := range c.credit {
 		copy(c.credit[i], s.credit[i])
 	}
-	if err := c.attr.restore(s.attr); err != nil {
-		return err
-	}
-	if err := c.shadow.restore(s.shadow); err != nil {
-		return err
-	}
+	c.attr.CopyFrom(s.attr)
+	c.shadow.CopyFrom(s.shadow)
 	copy(c.stats, s.stats)
 	copy(c.ewma, s.ewma)
 	for i, p := range c.comps {

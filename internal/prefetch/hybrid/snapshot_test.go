@@ -9,8 +9,10 @@ import (
 )
 
 // drive mirrors the prefetch package's contract-test stream: misses,
-// discontinuities, useful-prefetch credits, with every emitted
-// candidate collected as the observable behaviour.
+// discontinuities, useful-prefetch credits, plus unused-prefetch
+// evictions, which drain arbitration credit so that proposals reach the
+// shadow table; every emitted candidate is collected as the observable
+// behaviour.
 func drive(p prefetch.Prefetcher, seed uint64, n int) []isa.Line {
 	out := []isa.Line{}
 	x := seed
@@ -21,6 +23,7 @@ func drive(p prefetch.Prefetcher, seed uint64, n int) []isa.Line {
 	for i := 0; i < n; i++ {
 		v := next()
 		line := isa.Line(v >> 40 & 0x3FF)
+		emitted := len(out)
 		out = p.OnFetch(prefetch.Event{Line: line, Miss: v&3 == 0, PrefetchHit: v&7 == 1}, out)
 		if v&3 == 0 {
 			tgt := isa.Line(next() >> 40 & 0x3FF)
@@ -29,13 +32,20 @@ func drive(p prefetch.Prefetcher, seed uint64, n int) []isa.Line {
 		if v&15 == 2 {
 			p.OnPrefetchUseful(line)
 		}
+		if v&1 == 1 {
+			for _, l := range out[emitted:] {
+				p.(prefetch.EvictionObserver).OnL1Eviction(l, false)
+			}
+		}
 	}
 	return out
 }
 
 // TestCompositeSnapshotRoundTrip: a composite's snapshot carries the
-// arbitration tables AND every component's state recursively, and the
-// snapshot stays pristine across repeated restores.
+// arbitration tables AND every component's state recursively — a
+// restored fresh composite equals its source field for field, its
+// candidate scratch buffer aside — and the snapshot stays pristine
+// across repeated restores.
 func TestCompositeSnapshotRoundTrip(t *testing.T) {
 	for _, name := range []string{
 		"hybrid:discontinuity+streams",
@@ -58,6 +68,12 @@ func TestCompositeSnapshotRoundTrip(t *testing.T) {
 				return b
 			}
 			b := fresh()
+			// Left out on purpose: scratch, a reused candidate buffer
+			// that is empty between calls (only its capacity differs).
+			a.(*Composite).scratch, b.(*Composite).scratch = nil, nil
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("restored composite differs from its source:\n%+v\n%+v", b, a)
+			}
 			want := drive(a, 7, 600)
 			if got := drive(b, 7, 600); !reflect.DeepEqual(want, got) {
 				t.Fatalf("restored composite diverged: %d vs %d candidates", len(want), len(got))

@@ -278,8 +278,8 @@ func TestDiscontinuityPendingBounded(t *testing.T) {
 		p.OnDiscontinuity(tr, tr+1000, true)
 		p.OnFetch(Event{Line: tr, Miss: true}, nil)
 	}
-	if p.pending.len() > pendingCap {
-		t.Fatalf("pending grew to %d", p.pending.len())
+	if p.pending.Len() > pendingCap {
+		t.Fatalf("pending grew to %d", p.pending.Len())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/linetab"
 )
 
 // Snapshotter is the snapshot capability of a prefetch scheme: a deep
@@ -151,42 +152,6 @@ func (p *Markov) RestoreState(state any) error {
 	return nil
 }
 
-// creditState is a deep copy of a creditTable. The whole open-addressed
-// array is captured (not just the live entries) so a restore reproduces
-// probe order and eviction choices bit-for-bit.
-type creditState struct {
-	keys []isa.Line
-	vals []int32
-	live []bool
-	n    int
-}
-
-// snapshot deep-copies the table's dynamic state.
-func (t *creditTable) snapshot() *creditState {
-	return &creditState{
-		keys: append([]isa.Line(nil), t.keys...),
-		vals: append([]int32(nil), t.vals...),
-		live: append([]bool(nil), t.live...),
-		n:    t.n,
-	}
-}
-
-// restore overwrites the table's state with a copy of the snapshot's.
-// The target must be sized identically (mask/shift/limit are config).
-func (t *creditTable) restore(s *creditState) error {
-	if s == nil {
-		return fmt.Errorf("prefetch: credit table restore from nil snapshot")
-	}
-	if len(s.keys) != len(t.keys) {
-		return fmt.Errorf("prefetch: credit table restore sizing mismatch: %d into %d", len(s.keys), len(t.keys))
-	}
-	copy(t.keys, s.keys)
-	copy(t.vals, s.vals)
-	copy(t.live, s.live)
-	t.n = s.n
-	return nil
-}
-
 // discontinuityState is the dynamic state of a Discontinuity prefetcher:
 // the prediction table arrays, both credit tables, and the lifetime
 // counters (which feed diagnostics and attribution deltas).
@@ -197,8 +162,8 @@ type discontinuityState struct {
 	conf     []uint8
 	valid    []bool
 
-	pending     *creditState
-	targetSlots *creditState
+	pending     *linetab.Table[int32]
+	targetSlots *linetab.Table[int32]
 
 	allocations  uint64
 	replacements uint64
@@ -215,7 +180,7 @@ func (p *Discontinuity) SnapshotState() any {
 		ctr:          append([]uint8(nil), p.ctr...),
 		conf:         append([]uint8(nil), p.conf...),
 		valid:        append([]bool(nil), p.valid...),
-		pending:      p.pending.snapshot(),
+		pending:      p.pending.Clone(),
 		allocations:  p.allocations,
 		replacements: p.replacements,
 		probes:       p.probes,
@@ -223,7 +188,7 @@ func (p *Discontinuity) SnapshotState() any {
 		suppressed:   p.suppressed,
 	}
 	if p.targetSlots != nil {
-		s.targetSlots = p.targetSlots.snapshot()
+		s.targetSlots = p.targetSlots.Clone()
 	}
 	return s
 }
@@ -245,13 +210,9 @@ func (p *Discontinuity) RestoreState(state any) error {
 	copy(p.ctr, s.ctr)
 	copy(p.conf, s.conf)
 	copy(p.valid, s.valid)
-	if err := p.pending.restore(s.pending); err != nil {
-		return err
-	}
+	p.pending.CopyFrom(s.pending)
 	if p.targetSlots != nil {
-		if err := p.targetSlots.restore(s.targetSlots); err != nil {
-			return err
-		}
+		p.targetSlots.CopyFrom(s.targetSlots)
 	}
 	p.allocations = s.allocations
 	p.replacements = s.replacements

@@ -39,15 +39,17 @@ func snapshotSchemes(t *testing.T) []string {
 	// Composite (hybrid:...) forms live in the hybrid package, whose own
 	// snapshot test covers them — importing it here would cycle.
 	names := SchemeNames()
-	names = append(names, "discontinuity:table=128,ahead=2")
+	names = append(names, "discontinuity:table=128,ahead=2", "discontinuity:confidence=true")
 	return names
 }
 
 // TestSnapshotterContract is the registry-wide snapshot round trip:
 // for every constructible scheme, state captured mid-stream and
-// restored into a fresh instance must make that instance emit exactly
-// the candidates the original goes on to emit — and the snapshot must
-// stay pristine (restorable again after the original diverged).
+// restored into a fresh instance must equal the source field for field
+// (no field is left out of a snapshot on purpose), make that instance
+// emit exactly the candidates the original goes on to emit — and the
+// snapshot must stay pristine (restorable again after the original
+// diverged).
 func TestSnapshotterContract(t *testing.T) {
 	for _, name := range snapshotSchemes(t) {
 		t.Run(name, func(t *testing.T) {
@@ -70,6 +72,9 @@ func TestSnapshotterContract(t *testing.T) {
 				return b
 			}
 			b := fresh()
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("restored instance differs from its source:\n%+v\n%+v", b, a)
+			}
 			wantTail := drive(a, 7, 400)
 			gotTail := drive(b, 7, 400)
 			if !reflect.DeepEqual(wantTail, gotTail) {

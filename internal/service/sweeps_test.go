@@ -294,6 +294,7 @@ func TestHTTPSweepLifecycle(t *testing.T) {
 	text := readAll(t, r)
 	for _, want := range []string{
 		"iprefetchd_sweeps_completed_total 1",
+		"iprefetchd_sweeps_running 0",
 		"iprefetchd_sweep_points_total 8",
 	} {
 		if !strings.Contains(text, want) {
