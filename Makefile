@@ -3,7 +3,12 @@
 
 GO ?= go
 
-.PHONY: build vet test race failover-race fuzz-smoke bench simbench advgen-smoke
+.PHONY: fmt build vet test race failover-race fuzz-smoke bench simbench advgen-smoke
+
+# Fails listing every file gofmt would change (what CI's Format step
+# runs).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -11,7 +16,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: build vet
+test: fmt build vet
 	$(GO) test ./...
 
 # One race pass over every package, twice in shuffled order so state

@@ -31,11 +31,16 @@ func DefaultConfig() Config {
 // Predictor bundles gshare, BTB and RAS. Not safe for concurrent use;
 // each simulated core owns one.
 type Predictor struct {
+	gmask   uint64
+	btbMask uint64
+	state
+}
+
+// state is a predictor's dynamic state, the part a Snapshot copies.
+type state struct {
 	counters  []uint8 // 2-bit saturating, 0..3, taken when >= 2
-	gmask     uint64
 	history   uint64
 	btb       []isa.Addr
-	btbMask   uint64
 	ras       []isa.Addr
 	rasTop    int // number of valid entries
 	predicted uint64
@@ -55,11 +60,13 @@ func New(cfg Config) *Predictor {
 		panic("bpred: RAS entries must be positive")
 	}
 	p := &Predictor{
-		counters: make([]uint8, cfg.GshareEntries),
-		gmask:    uint64(cfg.GshareEntries - 1),
-		btb:      make([]isa.Addr, cfg.BTBEntries),
-		btbMask:  uint64(cfg.BTBEntries - 1),
-		ras:      make([]isa.Addr, cfg.RASEntries),
+		gmask:   uint64(cfg.GshareEntries - 1),
+		btbMask: uint64(cfg.BTBEntries - 1),
+		state: state{
+			counters: make([]uint8, cfg.GshareEntries),
+			btb:      make([]isa.Addr, cfg.BTBEntries),
+			ras:      make([]isa.Addr, cfg.RASEntries),
+		},
 	}
 	// Weakly taken initial state: commercial code is branch-taken-biased.
 	for i := range p.counters {
@@ -164,18 +171,4 @@ func (p *Predictor) MispredictRate() float64 {
 		return 0
 	}
 	return float64(p.wrong) / float64(p.predicted)
-}
-
-// Reset zeroes dynamic state and statistics.
-func (p *Predictor) Reset() {
-	for i := range p.counters {
-		p.counters[i] = 2
-	}
-	for i := range p.btb {
-		p.btb[i] = 0
-	}
-	p.history = 0
-	p.rasTop = 0
-	p.predicted = 0
-	p.wrong = 0
 }

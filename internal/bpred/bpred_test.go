@@ -178,20 +178,6 @@ func TestRASWrongTarget(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	p := tiny()
-	p.Call(0x1)
-	p.PredictCond(0x10, true)
-	p.PredictIndirect(0x20, 0x30)
-	p.Reset()
-	if p.Predictions() != 0 || p.Mispredictions() != 0 || p.RASDepth() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	if p.PredictIndirect(0x20, 0x30) {
-		t.Fatal("BTB survived reset")
-	}
-}
-
 func TestLoopPatternAccuracy(t *testing.T) {
 	// A loop branch: taken 9 times, not taken once, repeated. gshare with
 	// history should do much better than 50%.

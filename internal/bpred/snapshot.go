@@ -1,34 +1,27 @@
 package bpred
 
-import (
-	"fmt"
-
-	"repro/internal/isa"
-)
+import "fmt"
 
 // Snapshot is a deep copy of a predictor's dynamic state (gshare
 // counters, global history, BTB targets, RAS contents, statistics).
 type Snapshot struct {
-	counters  []uint8
-	history   uint64
-	btb       []isa.Addr
-	ras       []isa.Addr
-	rasTop    int
-	predicted uint64
-	wrong     uint64
+	state
+}
+
+// set makes s a copy of src that shares no memory with it.
+func (s *state) set(src *state) {
+	counters, btb, ras := s.counters, s.btb, s.ras
+	*s = *src
+	s.counters = append(counters[:0], src.counters...)
+	s.btb = append(btb[:0], src.btb...)
+	s.ras = append(ras[:0], src.ras...)
 }
 
 // Snapshot captures the predictor's current state.
 func (p *Predictor) Snapshot() *Snapshot {
-	return &Snapshot{
-		counters:  append([]uint8(nil), p.counters...),
-		history:   p.history,
-		btb:       append([]isa.Addr(nil), p.btb...),
-		ras:       append([]isa.Addr(nil), p.ras...),
-		rasTop:    p.rasTop,
-		predicted: p.predicted,
-		wrong:     p.wrong,
-	}
+	s := new(Snapshot)
+	s.set(&p.state)
+	return s
 }
 
 // Restore overwrites the predictor's state with a copy of the
@@ -41,12 +34,6 @@ func (p *Predictor) Restore(s *Snapshot) error {
 		return fmt.Errorf("bpred: restore sizing mismatch: %d/%d/%d into %d/%d/%d",
 			len(s.counters), len(s.btb), len(s.ras), len(p.counters), len(p.btb), len(p.ras))
 	}
-	copy(p.counters, s.counters)
-	p.history = s.history
-	copy(p.btb, s.btb)
-	copy(p.ras, s.ras)
-	p.rasTop = s.rasTop
-	p.predicted = s.predicted
-	p.wrong = s.wrong
+	p.set(&s.state)
 	return nil
 }

@@ -163,6 +163,11 @@ type Cache struct {
 	cfg     Config
 	setMask uint64
 	assoc   int
+	state
+}
+
+// state is the cache's dynamic state, the part a Snapshot copies.
+type state struct {
 	// Parallel per-way arrays; set s occupies [s*assoc, (s+1)*assoc),
 	// ordered MRU (first) → LRU (last) within the set.
 	lines []isa.Line
@@ -183,13 +188,15 @@ func New(cfg Config) *Cache {
 	}
 	n := cfg.NumSets() * cfg.Assoc
 	return &Cache{
-		cfg:      cfg,
-		setMask:  uint64(cfg.NumSets() - 1),
-		assoc:    cfg.Assoc,
-		lines:    make([]isa.Line, n),
-		meta:     make([]uint8, n),
-		fill:     make([]uint8, cfg.NumSets()),
-		rngState: 0x9e3779b97f4a7c15,
+		cfg:     cfg,
+		setMask: uint64(cfg.NumSets() - 1),
+		assoc:   cfg.Assoc,
+		state: state{
+			lines:    make([]isa.Line, n),
+			meta:     make([]uint8, n),
+			fill:     make([]uint8, cfg.NumSets()),
+			rngState: 0x9e3779b97f4a7c15,
+		},
 	}
 }
 
@@ -444,16 +451,6 @@ func (c *Cache) Inserted() uint64 { return c.inserted }
 
 // Evicted returns the number of lines evicted over the cache's lifetime.
 func (c *Cache) Evicted() uint64 { return c.evicted }
-
-// Reset invalidates all lines and zeroes lifetime counters, preserving
-// geometry. The simulator uses it between warm-up configurations.
-func (c *Cache) Reset() {
-	clear(c.lines)
-	clear(c.meta)
-	clear(c.fill)
-	c.inserted = 0
-	c.evicted = 0
-}
 
 // CountValid returns the number of valid lines (diagnostics/tests).
 func (c *Cache) CountValid() int {

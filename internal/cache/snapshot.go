@@ -1,36 +1,29 @@
 package cache
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/isa"
-)
-
-// Snapshot is a deep copy of a cache's dynamic state (tags, packed
-// metadata, per-set fill counts, lifetime counters, and the Random
-// policy's generator state). A snapshot is immutable once taken: Restore
-// copies out of it, so one snapshot can seed any number of machines.
+// Snapshot is a deep copy of a cache's dynamic state. A snapshot is
+// immutable once taken: Restore copies out of it, so one snapshot can
+// seed any number of machines.
 type Snapshot struct {
-	cfg      Config
-	lines    []isa.Line
-	meta     []uint8
-	fill     []uint8
-	inserted uint64
-	evicted  uint64
-	rngState uint64
+	cfg Config
+	state
+}
+
+// set makes s a copy of src that shares no memory with it.
+func (s *state) set(src *state) {
+	lines, meta, fill := s.lines, s.meta, s.fill
+	*s = *src
+	s.lines = append(lines[:0], src.lines...)
+	s.meta = append(meta[:0], src.meta...)
+	s.fill = append(fill[:0], src.fill...)
 }
 
 // Snapshot captures the cache's current state.
 func (c *Cache) Snapshot() *Snapshot {
-	return &Snapshot{
-		cfg:      c.cfg,
-		lines:    append([]isa.Line(nil), c.lines...),
-		meta:     append([]uint8(nil), c.meta...),
-		fill:     append([]uint8(nil), c.fill...),
-		inserted: c.inserted,
-		evicted:  c.evicted,
-		rngState: c.rngState,
-	}
+	s := &Snapshot{cfg: c.cfg}
+	s.set(&c.state)
+	return s
 }
 
 // Restore overwrites the cache's state with a copy of the snapshot's.
@@ -44,11 +37,6 @@ func (c *Cache) Restore(s *Snapshot) error {
 	if s.cfg.SizeBytes != c.cfg.SizeBytes || s.cfg.Assoc != c.cfg.Assoc || s.cfg.LineBytes != c.cfg.LineBytes {
 		return fmt.Errorf("cache: restore geometry mismatch: snapshot %+v into %+v", s.cfg, c.cfg)
 	}
-	copy(c.lines, s.lines)
-	copy(c.meta, s.meta)
-	copy(c.fill, s.fill)
-	c.inserted = s.inserted
-	c.evicted = s.evicted
-	c.rngState = s.rngState
+	c.set(&s.state)
 	return nil
 }

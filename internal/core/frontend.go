@@ -98,6 +98,13 @@ type FrontEnd struct {
 	issueObs prefetch.IssueObserver
 	compRep  prefetch.ComponentReporter
 
+	frontEndState
+}
+
+// frontEndState is the front-end's own dynamic state; the L1, the
+// queue, the filter, the in-flight tracker and the scheme snapshot
+// their own.
+type frontEndState struct {
 	// Baselines let per-run statistics be carved out of the queue's
 	// lifetime counters after a warm-up phase.
 	qBaseOverflow, qBaseInvalidated, qBaseHoisted uint64
@@ -394,17 +401,4 @@ func (f *FrontEnd) Finalize() {
 		})
 	}
 	f.cs.Components = comps
-}
-
-// Reset clears all front-end state (cache, queue, filter, predictor).
-func (f *FrontEnd) Reset() {
-	f.l1.Reset()
-	f.queue.Reset()
-	f.recent.Reset()
-	f.pf.Reset()
-	f.inflight.Reset()
-	f.qBaseOverflow = 0
-	f.qBaseInvalidated = 0
-	f.qBaseHoisted = 0
-	f.compBase = f.compBase[:0]
 }

@@ -267,20 +267,6 @@ func TestFinalizeCopiesQueueCounters(t *testing.T) {
 	}
 }
 
-func TestFrontEndReset(t *testing.T) {
-	fe, _, _ := testFE(prefetch.NewDiscontinuity(prefetch.DefaultDiscontinuityConfig()), false)
-	fe.FetchLine(10, isa.MissSequential, 0)
-	fe.NoteDiscontinuity(10, 1000, true)
-	fe.Reset()
-	if fe.L1().CountValid() != 0 {
-		t.Fatal("L1 survived reset")
-	}
-	d := fe.Prefetcher().(*prefetch.Discontinuity)
-	if d.Occupancy() != 0 {
-		t.Fatal("predictor survived reset")
-	}
-}
-
 func TestInFlightVictimCompleted(t *testing.T) {
 	// When an in-flight prefetched line is evicted before landing, a
 	// re-fetch must not time-travel: it misses and re-requests.
@@ -354,45 +340,5 @@ func TestUselessMarkerSecondChance(t *testing.T) {
 	f, _ := c.PeekFlags(1)
 	if f.UselessPrefetch || f.Prefetched || !f.Used {
 		t.Fatalf("flags after demand use: %+v", f)
-	}
-}
-
-// TestResetClearsQueueBaselines is a regression test for a uint64
-// underflow: FrontEnd.Reset zeroed the queue's lifetime counters but
-// left qBaseHoisted at its pre-reset value, so a Finalize after Reset
-// computed Hoisted() - qBaseHoisted on a fresh queue and wrapped to a
-// garbage hoist count.
-func TestResetClearsQueueBaselines(t *testing.T) {
-	fe, _, cs := testFE(prefetch.NewNone(), false)
-	q := fe.Queue()
-
-	// Produce nonzero lifetime counters: a hoist (duplicate waiting
-	// push), an invalidation (demand fetch of a waiting line), and an
-	// overflow (fill the queue past capacity with waiting entries).
-	q.Push(100)
-	q.Push(100) // hoist
-	q.OnDemandFetch(100)
-	for i := 0; i <= q.Capacity(); i++ {
-		q.Push(isa.Line(1000 + i))
-	}
-	if q.Hoisted() == 0 || q.Invalidated() == 0 || q.DroppedOverflow() == 0 {
-		t.Fatalf("setup failed: hoisted=%d invalidated=%d overflow=%d",
-			q.Hoisted(), q.Invalidated(), q.DroppedOverflow())
-	}
-
-	// Warm-up ends: baselines capture the current counters. Then the
-	// front-end is fully reset and finalized without further activity.
-	fe.ResetStatsBaseline()
-	fe.Reset()
-	fe.Finalize()
-
-	if cs.Prefetch.Hoisted != 0 {
-		t.Errorf("hoist count underflowed after Reset: %d", cs.Prefetch.Hoisted)
-	}
-	if cs.Prefetch.Invalidated != 0 {
-		t.Errorf("invalidated count underflowed after Reset: %d", cs.Prefetch.Invalidated)
-	}
-	if cs.Prefetch.DroppedOverflow != 0 {
-		t.Errorf("overflow count underflowed after Reset: %d", cs.Prefetch.DroppedOverflow)
 	}
 }

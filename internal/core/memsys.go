@@ -32,15 +32,21 @@ type MemSystemConfig struct {
 // onto one transfer. Not safe for concurrent use; the CMP driver
 // interleaves cores deterministically.
 type MemSystem struct {
-	l2         *cache.Cache
-	l2Latency  uint64
-	port       *memory.Port
-	inflight   *memory.InFlight
-	writeback  bool
-	writebacks uint64
+	l2        *cache.Cache
+	l2Latency uint64
+	port      *memory.Port
+	inflight  *memory.InFlight
+	writeback bool
 	// prefDepth is PrefetchInsert resolved against the L2 associativity
 	// (0 = MRU insert, the historical path).
 	prefDepth int
+	memState
+}
+
+// memState is the memory system's own dynamic state; the L2, the port
+// and the in-flight tracker snapshot their own.
+type memState struct {
+	writebacks uint64
 }
 
 // NewMemSystem builds the shared hierarchy.
@@ -213,12 +219,4 @@ func (m *MemSystem) InstrOccupancy() float64 {
 // periodically to bound memory.
 func (m *MemSystem) Expire(now uint64) {
 	m.inflight.Expire(now)
-}
-
-// Reset clears the L2, the port and in-flight state.
-func (m *MemSystem) Reset() {
-	m.l2.Reset()
-	m.port.Reset()
-	m.inflight.Reset()
-	m.writebacks = 0
 }

@@ -142,16 +142,6 @@ func TestInstrOccupancy(t *testing.T) {
 	}
 }
 
-func TestMemReset(t *testing.T) {
-	m := testMem()
-	var cs stats.CoreStats
-	m.AccessInstr(1, isa.MissSequential, 0, &cs)
-	m.Reset()
-	if m.L2().CountValid() != 0 || m.Port().Transfers() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestWritebackMemSystem(t *testing.T) {
 	m := NewMemSystem(MemSystemConfig{
 		L2:              cache.Config{SizeBytes: 512, Assoc: 2, LineBytes: 64}, // tiny: 4 sets x 2
@@ -184,10 +174,6 @@ func TestWritebackMemSystem(t *testing.T) {
 	m.WritebackData(999, 3000)
 	if m.Writebacks() != 2 {
 		t.Fatalf("write-through writebacks = %d, want 2", m.Writebacks())
-	}
-	m.Reset()
-	if m.Writebacks() != 0 {
-		t.Fatal("reset kept writeback count")
 	}
 }
 

@@ -53,6 +53,13 @@ type queueEntry struct {
 // list splices with identical observable behaviour. queue_model_test.go
 // checks that equivalence against a scan-based reference model.
 type PrefetchQueue struct {
+	queueState
+}
+
+// queueState is the queue's dynamic state, all of it: its slots, both
+// intrusive lists, the line index and the lifetime counters (which feed
+// the post-warm-up statistics baselines).
+type queueState struct {
 	entries []queueEntry
 	nextSeq uint64
 
@@ -79,12 +86,12 @@ func NewPrefetchQueue(capacity int) *PrefetchQueue {
 	if capacity < 1 {
 		panic("core: prefetch queue capacity must be >= 1")
 	}
-	q := &PrefetchQueue{
+	q := &PrefetchQueue{queueState{
 		entries: make([]queueEntry, capacity),
 		idx:     linetab.New[int32](4*capacity, 0),
 		next:    make([]int32, capacity),
 		prev:    make([]int32, capacity),
-	}
+	}}
 	q.wHead, q.wTail, q.mHead, q.mTail = -1, -1, -1, -1
 	return q
 }
@@ -262,23 +269,6 @@ func (q *PrefetchQueue) Invalidated() uint64 { return q.invalidated }
 // Hoisted returns pushes that promoted an existing waiting entry.
 func (q *PrefetchQueue) Hoisted() uint64 { return q.hoisted }
 
-// Reset clears all slots and counters.
-func (q *PrefetchQueue) Reset() {
-	for i := range q.entries {
-		q.entries[i] = queueEntry{}
-	}
-	q.idx.Reset()
-	q.wHead, q.wTail, q.mHead, q.mTail = -1, -1, -1, -1
-	q.waiting = 0
-	q.filled = 0
-	q.nextSeq = 0
-	q.pushed = 0
-	q.droppedDup = 0
-	q.droppedOld = 0
-	q.invalidated = 0
-	q.hoisted = 0
-}
-
 // RecentList is the paper's filter over the most recent demand fetches
 // (Section 4.1): a small ring of line addresses; prefetch candidates
 // matching any of them are dropped before reaching the queue.
@@ -287,6 +277,11 @@ func (q *PrefetchQueue) Reset() {
 // ring it consults a line→occurrence-count index maintained by Add (the
 // ring may hold the same line several times).
 type RecentList struct {
+	recentState
+}
+
+// recentState is the list's dynamic state, all of it.
+type recentState struct {
 	ring   []isa.Line
 	used   int
 	head   int
@@ -299,7 +294,7 @@ func NewRecentList(n int) *RecentList {
 	if n < 1 {
 		panic("core: recent list size must be >= 1")
 	}
-	return &RecentList{ring: make([]isa.Line, n), counts: linetab.New[int32](4*n, 0)}
+	return &RecentList{recentState{ring: make([]isa.Line, n), counts: linetab.New[int32](4*n, 0)}}
 }
 
 // Add records a demand fetch, forgetting the oldest one when full.
@@ -324,11 +319,4 @@ func (r *RecentList) Add(l isa.Line) {
 // Contains reports whether l is among the tracked recent fetches.
 func (r *RecentList) Contains(l isa.Line) bool {
 	return r.counts.Ptr(l) != nil
-}
-
-// Reset forgets all history.
-func (r *RecentList) Reset() {
-	r.used = 0
-	r.head = 0
-	r.counts.Reset()
 }

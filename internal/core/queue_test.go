@@ -121,21 +121,6 @@ func TestQueueReclaimsMarkersBeforeDropping(t *testing.T) {
 	}
 }
 
-func TestQueueReset(t *testing.T) {
-	q := NewPrefetchQueue(4)
-	q.Push(1)
-	q.PopNewest()
-	q.Push(2)
-	q.OnDemandFetch(2)
-	q.Reset()
-	if q.Waiting() != 0 || q.DroppedDup() != 0 || q.Invalidated() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	if _, ok := q.PopNewest(); ok {
-		t.Fatal("entry survived reset")
-	}
-}
-
 func TestQueuePanicsOnBadCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -222,10 +207,6 @@ func TestRecentList(t *testing.T) {
 	}
 	if !r.Contains(5) || !r.Contains(2) {
 		t.Fatal("ring wrong")
-	}
-	r.Reset()
-	if r.Contains(5) {
-		t.Fatal("reset incomplete")
 	}
 }
 

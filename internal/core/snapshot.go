@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/isa"
 	"repro/internal/linetab"
 	"repro/internal/memory"
-	"repro/internal/prefetch"
 )
 
 // This file gives the front-end and the shared memory system a deep
@@ -15,115 +13,69 @@ import (
 // diverge batched sweeps. A snapshot is pristine: restoring copies FROM
 // it, so the same snapshot can seed any number of machines.
 
-// queueState is a deep copy of a PrefetchQueue: slots, both intrusive
-// lists, the line index, and the lifetime counters (which feed the
-// post-warm-up statistics baselines).
-type queueState struct {
-	entries []queueEntry
-	nextSeq uint64
-	idx     *linetab.Table[int32]
-	next    []int32
-	prev    []int32
-	wHead   int32
-	wTail   int32
-	mHead   int32
-	mTail   int32
-	waiting int
-	filled  int
-
-	pushed      uint64
-	droppedDup  uint64
-	droppedOld  uint64
-	invalidated uint64
-	hoisted     uint64
+// set makes s a copy of src that shares no memory with it.
+func (s *queueState) set(src *queueState) {
+	entries, idx, next, prev := s.entries, s.idx, s.next, s.prev
+	*s = *src
+	s.entries = append(entries[:0], src.entries...)
+	s.idx = linetab.Copy(idx, src.idx)
+	s.next = append(next[:0], src.next...)
+	s.prev = append(prev[:0], src.prev...)
 }
 
 func (q *PrefetchQueue) snapshot() *queueState {
-	return &queueState{
-		entries:     append([]queueEntry(nil), q.entries...),
-		nextSeq:     q.nextSeq,
-		idx:         q.idx.Clone(),
-		next:        append([]int32(nil), q.next...),
-		prev:        append([]int32(nil), q.prev...),
-		wHead:       q.wHead,
-		wTail:       q.wTail,
-		mHead:       q.mHead,
-		mTail:       q.mTail,
-		waiting:     q.waiting,
-		filled:      q.filled,
-		pushed:      q.pushed,
-		droppedDup:  q.droppedDup,
-		droppedOld:  q.droppedOld,
-		invalidated: q.invalidated,
-		hoisted:     q.hoisted,
-	}
+	s := new(queueState)
+	s.set(&q.queueState)
+	return s
 }
 
 func (q *PrefetchQueue) restore(s *queueState) error {
 	if s == nil || len(s.entries) != len(q.entries) {
 		return fmt.Errorf("core: prefetch queue restore sizing mismatch")
 	}
-	q.idx.CopyFrom(s.idx)
-	copy(q.entries, s.entries)
-	q.nextSeq = s.nextSeq
-	copy(q.next, s.next)
-	copy(q.prev, s.prev)
-	q.wHead, q.wTail, q.mHead, q.mTail = s.wHead, s.wTail, s.mHead, s.mTail
-	q.waiting = s.waiting
-	q.filled = s.filled
-	q.pushed = s.pushed
-	q.droppedDup = s.droppedDup
-	q.droppedOld = s.droppedOld
-	q.invalidated = s.invalidated
-	q.hoisted = s.hoisted
+	q.set(s)
 	return nil
 }
 
-// recentState is a deep copy of a RecentList.
-type recentState struct {
-	ring   []isa.Line
-	used   int
-	head   int
-	counts *linetab.Table[int32]
+// set makes s a copy of src that shares no memory with it.
+func (s *recentState) set(src *recentState) {
+	ring, counts := s.ring, s.counts
+	*s = *src
+	s.ring = append(ring[:0], src.ring...)
+	s.counts = linetab.Copy(counts, src.counts)
 }
 
 func (r *RecentList) snapshot() *recentState {
-	return &recentState{
-		ring:   append([]isa.Line(nil), r.ring...),
-		used:   r.used,
-		head:   r.head,
-		counts: r.counts.Clone(),
-	}
+	s := new(recentState)
+	s.set(&r.recentState)
+	return s
 }
 
 func (r *RecentList) restore(s *recentState) error {
 	if s == nil || len(s.ring) != len(r.ring) {
 		return fmt.Errorf("core: recent list restore sizing mismatch")
 	}
-	r.counts.CopyFrom(s.counts)
-	copy(r.ring, s.ring)
-	r.used = s.used
-	r.head = s.head
+	r.set(s)
 	return nil
 }
 
 // MemSnapshot is a deep copy of the shared memory system's dynamic
 // state: the L2 contents, the off-chip port schedule, the in-flight
-// tracker, and the lifetime writeback counter.
+// tracker, and the memory system's own state.
 type MemSnapshot struct {
-	l2         *cache.Snapshot
-	port       *memory.PortSnapshot
-	inflight   *memory.InFlightSnapshot
-	writebacks uint64
+	l2       *cache.Snapshot
+	port     *memory.PortSnapshot
+	inflight *memory.InFlightSnapshot
+	memState
 }
 
 // Snapshot captures the memory system's current state.
 func (m *MemSystem) Snapshot() *MemSnapshot {
 	return &MemSnapshot{
-		l2:         m.l2.Snapshot(),
-		port:       m.port.Snapshot(),
-		inflight:   m.inflight.Snapshot(),
-		writebacks: m.writebacks,
+		l2:       m.l2.Snapshot(),
+		port:     m.port.Snapshot(),
+		inflight: m.inflight.Snapshot(),
+		memState: m.memState,
 	}
 }
 
@@ -143,7 +95,7 @@ func (m *MemSystem) Restore(s *MemSnapshot) error {
 	if err := m.inflight.Restore(s.inflight); err != nil {
 		return err
 	}
-	m.writebacks = s.writebacks
+	m.memState = s.memState
 	return nil
 }
 
@@ -163,34 +115,28 @@ type FrontEndSnapshot struct {
 	scheme      string
 	schemeState any
 
-	qBaseOverflow    uint64
-	qBaseInvalidated uint64
-	qBaseHoisted     uint64
-	compBase         []prefetch.ComponentCounters
-	expireTick       uint64
+	frontEndState
 }
 
-// Snapshot captures the front-end's current state. It fails when the
-// prefetch scheme does not implement prefetch.Snapshotter (all
-// registry-built schemes do).
-func (f *FrontEnd) Snapshot() (*FrontEndSnapshot, error) {
-	snap, ok := f.pf.(prefetch.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("core: prefetch scheme %s does not support snapshots", f.pf.Name())
+// set makes s a copy of src that shares no memory with it.
+func (s *frontEndState) set(src *frontEndState) {
+	compBase := s.compBase
+	*s = *src
+	s.compBase = append(compBase[:0], src.compBase...)
+}
+
+// Snapshot captures the front-end's current state.
+func (f *FrontEnd) Snapshot() *FrontEndSnapshot {
+	s := &FrontEndSnapshot{
+		l1:          f.l1.Snapshot(),
+		queue:       f.queue.snapshot(),
+		recent:      f.recent.snapshot(),
+		inflight:    f.inflight.Snapshot(),
+		scheme:      f.pf.Name(),
+		schemeState: f.pf.SnapshotState(),
 	}
-	return &FrontEndSnapshot{
-		l1:               f.l1.Snapshot(),
-		queue:            f.queue.snapshot(),
-		recent:           f.recent.snapshot(),
-		inflight:         f.inflight.Snapshot(),
-		scheme:           f.pf.Name(),
-		schemeState:      snap.SnapshotState(),
-		qBaseOverflow:    f.qBaseOverflow,
-		qBaseInvalidated: f.qBaseInvalidated,
-		qBaseHoisted:     f.qBaseHoisted,
-		compBase:         append([]prefetch.ComponentCounters(nil), f.compBase...),
-		expireTick:       f.expireTick,
-	}, nil
+	s.set(&f.frontEndState)
+	return s
 }
 
 // Restore overwrites the front-end's state with a copy of the
@@ -214,21 +160,13 @@ func (f *FrontEnd) Restore(s *FrontEndSnapshot) error {
 		return err
 	}
 	if s.scheme == f.pf.Name() {
-		snap, ok := f.pf.(prefetch.Snapshotter)
-		if !ok {
-			return fmt.Errorf("core: prefetch scheme %s does not support snapshots", f.pf.Name())
-		}
-		if err := snap.RestoreState(s.schemeState); err != nil {
+		if err := f.pf.RestoreState(s.schemeState); err != nil {
 			return err
 		}
 	} else {
 		// Divergent scheme: the measurement machine starts it cold.
 		f.pf.Reset()
 	}
-	f.qBaseOverflow = s.qBaseOverflow
-	f.qBaseInvalidated = s.qBaseInvalidated
-	f.qBaseHoisted = s.qBaseHoisted
-	f.compBase = append(f.compBase[:0], s.compBase...)
-	f.expireTick = s.expireTick
+	f.set(&s.frontEndState)
 	return nil
 }

@@ -94,6 +94,15 @@ type Core struct {
 	src  workload.Source
 	cs   *stats.CoreStats
 
+	lineBytes int
+
+	coreState
+}
+
+// coreState is the core's own dynamic state: the timing clock and the
+// block-granular fetch cursor. The caches, predictors, front-end,
+// statistics record and workload source snapshot their own.
+type coreState struct {
 	clock      float64
 	startClock float64
 
@@ -103,8 +112,6 @@ type Core struct {
 	started     bool
 	lastLine    isa.Line
 	haveLast    bool
-
-	lineBytes int
 }
 
 // New builds a core. fe must share its MemSystem with the other cores of
@@ -122,6 +129,9 @@ func New(cfg Config, fe *core.FrontEnd, src workload.Source, cs *stats.CoreStats
 		src:       src,
 		cs:        cs,
 		lineBytes: fe.L1().Config().LineBytes,
+		// A block's MemOps is never nil, so a restored core's equals
+		// its source's even when the last block had no data accesses.
+		coreState: coreState{blk: isa.Block{MemOps: []isa.MemOp{}}},
 	}
 	// Let a prefetch-triggered TLB-fill policy reach this core's
 	// translation hierarchy (a no-op under the default policy).

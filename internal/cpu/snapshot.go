@@ -6,71 +6,58 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/tlb"
 	"repro/internal/workload"
 )
 
-// Snapshot is a deep copy of one core's dynamic state: the timing
-// clock, the block-granular fetch cursor, the private caches and
-// predictors, the front-end, the statistics record, and the workload
-// source's stream cursor. A snapshot is pristine — restoring copies
-// FROM it, so the same snapshot can seed any number of cores.
+// Snapshot is a deep copy of one core's dynamic state: its own state,
+// the private caches and predictors, the front-end, the statistics
+// record, and the workload source's stream cursor. A snapshot is
+// pristine — restoring copies FROM it, so the same snapshot can seed
+// any number of cores.
 type Snapshot struct {
-	clock      float64
-	startClock float64
-
-	blk         isa.Block
-	prevCTI     isa.CTIKind
-	prevEndLine isa.Line
-	started     bool
-	lastLine    isa.Line
-	haveLast    bool
-
 	l1d  *cache.Snapshot
 	bp   *bpred.Snapshot
 	tlbs *tlb.HierarchySnapshot
 	fe   *core.FrontEndSnapshot
 	src  any
 	cs   stats.CoreStats
+	coreState
+}
+
+// set makes s a copy of src that shares no memory with it.
+func (s *coreState) set(src *coreState) {
+	memOps := s.blk.MemOps
+	*s = *src
+	s.blk.MemOps = append(memOps[:0], src.blk.MemOps...)
+}
+
+// copyStats makes dst a copy of src that shares no memory with it. The
+// component rows get a new array: a record handed out earlier may still
+// hold the old one.
+func copyStats(dst, src *stats.CoreStats) {
+	*dst = *src
+	dst.Components = append([]stats.ComponentPrefetchStats(nil), src.Components...)
 }
 
 // Snapshot captures the core's current state. It fails when the
-// workload source or the prefetch scheme cannot be snapshotted.
+// workload source cannot be snapshotted.
 func (c *Core) Snapshot() (*Snapshot, error) {
 	srcSnap, ok := c.src.(workload.Snapshotter)
 	if !ok {
 		return nil, fmt.Errorf("cpu: workload source %T does not support snapshots", c.src)
 	}
-	srcState, err := srcSnap.SnapshotState()
-	if err != nil {
-		return nil, err
+	s := &Snapshot{
+		l1d:  c.l1d.Snapshot(),
+		bp:   c.bp.Snapshot(),
+		tlbs: c.tlbs.Snapshot(),
+		fe:   c.fe.Snapshot(),
+		src:  srcSnap.SnapshotState(),
 	}
-	fe, err := c.fe.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	blk := c.blk
-	blk.MemOps = append([]isa.MemOp(nil), c.blk.MemOps...)
-	cs := *c.cs
-	cs.Components = append([]stats.ComponentPrefetchStats(nil), c.cs.Components...)
-	return &Snapshot{
-		clock:       c.clock,
-		startClock:  c.startClock,
-		blk:         blk,
-		prevCTI:     c.prevCTI,
-		prevEndLine: c.prevEndLine,
-		started:     c.started,
-		lastLine:    c.lastLine,
-		haveLast:    c.haveLast,
-		l1d:         c.l1d.Snapshot(),
-		bp:          c.bp.Snapshot(),
-		tlbs:        c.tlbs.Snapshot(),
-		fe:          fe,
-		src:         srcState,
-		cs:          cs,
-	}, nil
+	copyStats(&s.cs, c.cs)
+	s.set(&c.coreState)
+	return s, nil
 }
 
 // Restore overwrites the core's state with a copy of the snapshot's.
@@ -100,17 +87,7 @@ func (c *Core) Restore(s *Snapshot) error {
 	if err := c.fe.Restore(s.fe); err != nil {
 		return err
 	}
-	c.clock = s.clock
-	c.startClock = s.startClock
-	c.blk = isa.Block{PC: s.blk.PC, NumInstrs: s.blk.NumInstrs, CTI: s.blk.CTI, Target: s.blk.Target,
-		MemOps: append(c.blk.MemOps[:0], s.blk.MemOps...)}
-	c.prevCTI = s.prevCTI
-	c.prevEndLine = s.prevEndLine
-	c.started = s.started
-	c.lastLine = s.lastLine
-	c.haveLast = s.haveLast
-	cs := s.cs
-	cs.Components = append([]stats.ComponentPrefetchStats(nil), s.cs.Components...)
-	*c.cs = cs
+	copyStats(c.cs, &s.cs)
+	c.set(&s.coreState)
 	return nil
 }

@@ -85,7 +85,7 @@ func (t *Table[V]) Get(l isa.Line) (V, bool) {
 }
 
 // Ptr returns a pointer to l's value, or nil when l is absent. The
-// pointer is valid until the next insert, delete, Grow or CopyFrom.
+// pointer is valid until the next insert, delete, Grow or Copy.
 func (t *Table[V]) Ptr(l isa.Line) *V {
 	if h, ok := t.find(l); ok {
 		return &t.vals[h]
@@ -99,7 +99,7 @@ func (t *Table[V]) Ptr(l isa.Line) *V {
 // cyclically after l's home slot: losing one entry there is what every
 // bounded caller can afford, and unlike map iteration the victim is
 // deterministic. The pointer is valid until the next insert, delete,
-// Grow or CopyFrom.
+// Grow or Copy.
 func (t *Table[V]) Ref(l isa.Line) (*V, bool) {
 	h := t.home(l)
 	for ; t.live[h]; h = (h + 1) & t.mask {
@@ -194,25 +194,24 @@ func (t *Table[V]) Reset() {
 	t.n = 0
 }
 
-// Clone returns a deep copy. The whole slot array is copied, not just
-// the entries, so the copy reproduces probe order and eviction choices
-// exactly.
-func (t *Table[V]) Clone() *Table[V] {
-	c := *t
-	c.keys = append([]isa.Line(nil), t.keys...)
-	c.vals = append([]V(nil), t.vals...)
-	c.live = append([]bool(nil), t.live...)
-	return &c
-}
-
-// CopyFrom overwrites t's entries with a copy of src's, adopting src's
-// size; t keeps its limit, which is configuration, not state.
-func (t *Table[V]) CopyFrom(src *Table[V]) {
-	if len(t.keys) != len(src.keys) {
-		t.alloc(len(src.keys))
+// Copy makes dst a deep copy of src and returns it: a nil dst gets a
+// new table, and a nil src gives nil. The whole slot array is copied,
+// not just the entries, so the copy reproduces probe order and eviction
+// choices exactly. dst adopts src's size, reusing its arrays when they
+// are large enough, but keeps its limit, which is configuration, not
+// state.
+func Copy[V any](dst, src *Table[V]) *Table[V] {
+	if src == nil {
+		return nil
 	}
-	copy(t.keys, src.keys)
-	copy(t.vals, src.vals)
-	copy(t.live, src.live)
-	t.n = src.n
+	if dst == nil {
+		dst = &Table[V]{limit: src.limit}
+	}
+	old := *dst
+	*dst = *src
+	dst.limit = old.limit
+	dst.keys = append(old.keys[:0], src.keys...)
+	dst.vals = append(old.vals[:0], src.vals...)
+	dst.live = append(old.live[:0], src.live...)
+	return dst
 }

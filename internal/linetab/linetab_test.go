@@ -156,15 +156,24 @@ func TestBoundedEvictsNearHome(t *testing.T) {
 	}
 }
 
+// sharesArrays reports whether a and b share any of their slot arrays.
+func sharesArrays[V any](a, b *Table[V]) bool {
+	return &a.keys[0] == &b.keys[0] || &a.vals[0] == &b.vals[0] || &a.live[0] == &b.live[0]
+}
+
+// TestCloneIsIndependent: Copy into a nil dst clones, and the clone
+// does not change when its source does.
 func TestCloneIsIndependent(t *testing.T) {
 	src := New[uint64](0, 0)
 	for l := isa.Line(0); l < 6; l++ {
 		p, _ := src.Ref(l * 7)
 		*p = uint64(l)
 	}
-	c := src.Clone()
-	want := New[uint64](0, 0)
-	want.CopyFrom(c)
+	c := Copy(nil, src)
+	if sharesArrays(c, src) {
+		t.Fatal("clone shares slot arrays with its source")
+	}
+	want := Copy(New[uint64](0, 0), c)
 
 	*src.Ptr(7) = 99
 	src.Delete(0)
@@ -177,8 +186,13 @@ func TestCloneIsIndependent(t *testing.T) {
 	if v, ok := c.Get(7); !ok || v != 1 {
 		t.Fatalf("clone Get(7) = %d, %v; want 1", v, ok)
 	}
+	if Copy(c, nil) != nil {
+		t.Fatal("copy of a nil table is not nil")
+	}
 }
 
+// TestCopyFromAdoptsSize: Copy into a table of another size adopts the
+// source's size and keeps the destination's limit.
 func TestCopyFromAdoptsSize(t *testing.T) {
 	src := New[int32](0, 0)
 	for l := isa.Line(0); l < 40; l++ {
@@ -188,21 +202,27 @@ func TestCopyFromAdoptsSize(t *testing.T) {
 			src.Grow()
 		}
 	}
-	dst := New[int32](0, 0)
-	dst.Ref(5)
-	if dst.Size() == src.Size() {
-		t.Fatal("test setup: tables have the same size")
-	}
-	dst.CopyFrom(src)
-	if !reflect.DeepEqual(dst, src) {
-		t.Fatal("CopyFrom did not reproduce the source table")
-	}
-	// The copy keeps probing like the source.
-	for l := isa.Line(30); l < 60; l++ {
-		src.Delete(l)
-		dst.Delete(l)
-	}
-	if !slices.Equal(dst.Keys(nil), src.Keys(nil)) {
-		t.Fatal("copy diverged from its source")
+	for _, dst := range []*Table[int32]{New[int32](0, 0), New[int32](4*src.Size(), 0)} {
+		dst.Ref(5)
+		if dst.Size() == src.Size() {
+			t.Fatal("test setup: tables have the same size")
+		}
+		if got := Copy(dst, src); got != dst {
+			t.Fatal("Copy into a table did not reuse it")
+		}
+		if !reflect.DeepEqual(dst, src) {
+			t.Fatal("Copy did not reproduce the source table")
+		}
+		if sharesArrays(dst, src) {
+			t.Fatal("copy shares slot arrays with its source")
+		}
+		// The copy keeps probing like the source.
+		for l := isa.Line(30); l < 60; l++ {
+			src.Delete(l)
+			dst.Delete(l)
+		}
+		if !slices.Equal(dst.Keys(nil), src.Keys(nil)) {
+			t.Fatal("copy diverged from its source")
+		}
 	}
 }

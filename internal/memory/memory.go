@@ -33,9 +33,14 @@ type PortConfig struct {
 type Port struct {
 	latency       uint64
 	cyclesPerLine float64
-	nextFree      float64
-	transfers     uint64
-	busyCycles    float64
+	portState
+}
+
+// portState is a port's dynamic state, the part a PortSnapshot copies.
+type portState struct {
+	nextFree   float64
+	transfers  uint64
+	busyCycles float64
 }
 
 // NewPort builds a port; a zero or negative bandwidth means an infinite
@@ -79,13 +84,6 @@ func (p *Port) QueueDelay(now uint64) uint64 {
 	return uint64(p.nextFree - float64(now))
 }
 
-// Reset clears link state and counters.
-func (p *Port) Reset() {
-	p.nextFree = 0
-	p.transfers = 0
-	p.busyCycles = 0
-}
-
 // InFlight tracks lines whose fills have been initiated but not yet
 // completed — the simulator's MSHR file. A demand reference that finds
 // its line in flight waits only for the remaining latency instead of
@@ -96,12 +94,18 @@ func (p *Port) Reset() {
 // tracker, so it is a line-keyed hash table (linetab) starting at 64
 // slots and doubling past half load, not a Go map.
 type InFlight struct {
+	inFlightState
+}
+
+// inFlightState is a tracker's dynamic state, the part an
+// InFlightSnapshot copies.
+type inFlightState struct {
 	t *linetab.Table[uint64] // line → completion cycle
 }
 
 // NewInFlight creates an empty, unbounded tracker.
 func NewInFlight() *InFlight {
-	return &InFlight{t: linetab.New[uint64](64, 0)}
+	return &InFlight{inFlightState{t: linetab.New[uint64](64, 0)}}
 }
 
 // Start records that line l completes at the given cycle. Starting an
@@ -155,6 +159,3 @@ func (f *InFlight) Expire(now uint64) {
 
 // Len returns the number of in-flight lines.
 func (f *InFlight) Len() int { return f.t.Len() }
-
-// Reset clears all entries.
-func (f *InFlight) Reset() { f.t.Reset() }

@@ -6,16 +6,14 @@ import (
 	"repro/internal/linetab"
 )
 
-// PortSnapshot is a deep copy of a port's dynamic state.
+// PortSnapshot is a copy of a port's dynamic state.
 type PortSnapshot struct {
-	nextFree   float64
-	transfers  uint64
-	busyCycles float64
+	portState
 }
 
 // Snapshot captures the port's current state.
 func (p *Port) Snapshot() *PortSnapshot {
-	return &PortSnapshot{nextFree: p.nextFree, transfers: p.transfers, busyCycles: p.busyCycles}
+	return &PortSnapshot{p.portState}
 }
 
 // Restore overwrites the port's state with the snapshot's.
@@ -23,9 +21,7 @@ func (p *Port) Restore(s *PortSnapshot) error {
 	if s == nil {
 		return fmt.Errorf("memory: restore port from nil snapshot")
 	}
-	p.nextFree = s.nextFree
-	p.transfers = s.transfers
-	p.busyCycles = s.busyCycles
+	p.portState = s.portState
 	return nil
 }
 
@@ -33,12 +29,19 @@ func (p *Port) Restore(s *PortSnapshot) error {
 // whole table (including its current size) is captured so a restore
 // reproduces probe order bit-for-bit.
 type InFlightSnapshot struct {
-	t *linetab.Table[uint64]
+	inFlightState
+}
+
+// set makes s a copy of src that shares no memory with it.
+func (s *inFlightState) set(src *inFlightState) {
+	s.t = linetab.Copy(s.t, src.t)
 }
 
 // Snapshot captures the tracker's current state.
 func (f *InFlight) Snapshot() *InFlightSnapshot {
-	return &InFlightSnapshot{t: f.t.Clone()}
+	s := new(InFlightSnapshot)
+	s.set(&f.inFlightState)
+	return s
 }
 
 // Restore overwrites the tracker's state with a copy of the snapshot's.
@@ -48,6 +51,6 @@ func (f *InFlight) Restore(s *InFlightSnapshot) error {
 	if s == nil {
 		return fmt.Errorf("memory: restore in-flight tracker from nil snapshot")
 	}
-	f.t.CopyFrom(s.t)
+	f.set(&s.inFlightState)
 	return nil
 }

@@ -122,9 +122,16 @@ func (c DiscontinuityConfig) TableBits() int {
 //   - Usefulness: when a prefetched target line is demand-used, the
 //     entry that predicted it gets its counter credited.
 type Discontinuity struct {
-	cfg      DiscontinuityConfig
-	name     string
-	mask     uint64
+	cfg  DiscontinuityConfig
+	name string
+	mask uint64
+	discontinuityState
+}
+
+// discontinuityState is a Discontinuity prefetcher's dynamic state: the
+// prediction table arrays, both credit tables, and the lifetime
+// counters (which feed diagnostics and attribution deltas).
+type discontinuityState struct {
 	triggers []isa.Line
 	targets  []isa.Line
 	ctr      []uint8
@@ -175,15 +182,17 @@ func NewDiscontinuity(cfg DiscontinuityConfig) *Discontinuity {
 		name = "discontinuity"
 	}
 	p := &Discontinuity{
-		cfg:      cfg,
-		name:     name,
-		mask:     uint64(cfg.TableEntries - 1),
-		triggers: make([]isa.Line, cfg.TableEntries),
-		targets:  make([]isa.Line, cfg.TableEntries),
-		ctr:      make([]uint8, cfg.TableEntries),
-		conf:     make([]uint8, cfg.TableEntries),
-		valid:    make([]bool, cfg.TableEntries),
-		pending:  linetab.New[int32](2*pendingCap, pendingCap),
+		cfg:  cfg,
+		name: name,
+		mask: uint64(cfg.TableEntries - 1),
+		discontinuityState: discontinuityState{
+			triggers: make([]isa.Line, cfg.TableEntries),
+			targets:  make([]isa.Line, cfg.TableEntries),
+			ctr:      make([]uint8, cfg.TableEntries),
+			conf:     make([]uint8, cfg.TableEntries),
+			valid:    make([]bool, cfg.TableEntries),
+			pending:  linetab.New[int32](2*pendingCap, pendingCap),
+		},
 	}
 	if cfg.ConfidenceFilter {
 		p.targetSlots = linetab.New[int32](8*pendingCap, 4*pendingCap)

@@ -141,8 +141,15 @@ type Composite struct {
 	evict  []prefetch.EvictionObserver // parallel to comps; nil = not an observer
 	branch []prefetch.BranchObserver   // parallel to comps; nil = not an observer
 
-	// Per-trigger-PC arbitration table: tag + per-component credit.
 	mask    uint64
+	scratch []isa.Line // reusable component candidate buffer
+	compositeState
+}
+
+// compositeState is a Composite's own dynamic state; each component
+// snapshots its own.
+type compositeState struct {
+	// Per-trigger-PC arbitration table: tag + per-component credit.
 	pcTags  []isa.Line
 	pcValid []bool
 	credit  [][]uint8 // [component][slot]
@@ -154,9 +161,8 @@ type Composite struct {
 	attr   *linetab.Table[uint32]
 	shadow *linetab.Table[uint32]
 
-	stats   []compStats // len(comps)+1; last is the unattributed bucket
-	ewma    []uint32    // per-component accuracy estimate, 16-bit fraction
-	scratch []isa.Line  // reusable component candidate buffer
+	stats []compStats // len(comps)+1; last is the unattributed bucket
+	ewma  []uint32    // per-component accuracy estimate, 16-bit fraction
 }
 
 // NewComposite wraps comps behind an arbiter. The name is the composite
@@ -181,14 +187,16 @@ func NewComposite(name string, comps []prefetch.Prefetcher, cfg Config) *Composi
 		evict:   make([]prefetch.EvictionObserver, len(comps)),
 		branch:  make([]prefetch.BranchObserver, len(comps)),
 		mask:    uint64(cfg.TableEntries - 1),
-		pcTags:  make([]isa.Line, cfg.TableEntries),
-		pcValid: make([]bool, cfg.TableEntries),
-		credit:  make([][]uint8, len(comps)),
-		attr:    linetab.New[uint32](2*cfg.OwnerEntries, cfg.OwnerEntries),
-		shadow:  linetab.New[uint32](2*cfg.OwnerEntries, cfg.OwnerEntries),
-		stats:   make([]compStats, len(comps)+1),
-		ewma:    make([]uint32, len(comps)),
 		scratch: make([]isa.Line, 0, 32),
+		compositeState: compositeState{
+			pcTags:  make([]isa.Line, cfg.TableEntries),
+			pcValid: make([]bool, cfg.TableEntries),
+			credit:  make([][]uint8, len(comps)),
+			attr:    linetab.New[uint32](2*cfg.OwnerEntries, cfg.OwnerEntries),
+			shadow:  linetab.New[uint32](2*cfg.OwnerEntries, cfg.OwnerEntries),
+			stats:   make([]compStats, len(comps)+1),
+			ewma:    make([]uint32, len(comps)),
+		},
 	}
 	for i, p := range comps {
 		c.credit[i] = make([]uint8, cfg.TableEntries)

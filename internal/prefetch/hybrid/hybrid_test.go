@@ -11,6 +11,7 @@ import (
 // fake is a scripted component: proposes its configured candidates on
 // every miss and records the usefulness feedback it receives.
 type fake struct {
+	prefetch.Stateless
 	name    string
 	cands   []isa.Line
 	usefuls []isa.Line
@@ -24,9 +25,8 @@ func (f *fake) OnFetch(ev prefetch.Event, out []isa.Line) []isa.Line {
 	}
 	return out
 }
-func (f *fake) OnDiscontinuity(isa.Line, isa.Line, bool) {}
-func (f *fake) OnPrefetchUseful(l isa.Line)              { f.usefuls = append(f.usefuls, l) }
-func (f *fake) Reset()                                   { f.usefuls = nil; f.resets++ }
+func (f *fake) OnPrefetchUseful(l isa.Line) { f.usefuls = append(f.usefuls, l) }
+func (f *fake) Reset()                      { f.usefuls = nil; f.resets++ }
 
 func TestRegistryResolvesHybridNames(t *testing.T) {
 	p, err := prefetch.New("hybrid:discontinuity+streams+mana")

@@ -3,61 +3,51 @@ package hybrid
 import (
 	"fmt"
 
-	"repro/internal/isa"
 	"repro/internal/linetab"
-	"repro/internal/prefetch"
 )
 
-// compositeState is the dynamic state of a Composite: the arbitration
-// table (tags + per-component credit rows), both owner tables, the
-// per-component counter blocks and accuracy EWMAs, and one opaque state
-// per component (recursively captured through prefetch.Snapshotter).
-type compositeState struct {
-	pcTags  []isa.Line
-	pcValid []bool
-	credit  [][]uint8
-	attr    *linetab.Table[uint32]
-	shadow  *linetab.Table[uint32]
-	stats   []compStats
-	ewma    []uint32
-	comps   []any
+// compositeSnapshot is a Composite's own state plus one opaque state
+// per component.
+type compositeSnapshot struct {
+	compositeState
+	comps []any
 }
 
-// SnapshotState implements prefetch.Snapshotter. Every component must
-// itself be a Snapshotter (all registry-constructible schemes are; the
-// registry rejects nested hybrids), so the recursion terminates at the
-// leaf schemes' explicit state copies.
+// set makes s a copy of src that shares no memory with it.
+func (s *compositeState) set(src *compositeState) {
+	old := *s
+	*s = *src
+	s.pcTags = append(old.pcTags[:0], src.pcTags...)
+	s.pcValid = append(old.pcValid[:0], src.pcValid...)
+	if len(old.credit) != len(src.credit) {
+		old.credit = make([][]uint8, len(src.credit))
+	}
+	for i, row := range src.credit {
+		old.credit[i] = append(old.credit[i][:0], row...)
+	}
+	s.credit = old.credit
+	s.attr = linetab.Copy(old.attr, src.attr)
+	s.shadow = linetab.Copy(old.shadow, src.shadow)
+	s.stats = append(old.stats[:0], src.stats...)
+	s.ewma = append(old.ewma[:0], src.ewma...)
+}
+
+// SnapshotState implements prefetch.Prefetcher: the arbiter's state and,
+// recursively, every component's.
 func (c *Composite) SnapshotState() any {
-	s := &compositeState{
-		pcTags:  append([]isa.Line(nil), c.pcTags...),
-		pcValid: append([]bool(nil), c.pcValid...),
-		credit:  make([][]uint8, len(c.credit)),
-		attr:    c.attr.Clone(),
-		shadow:  c.shadow.Clone(),
-		stats:   append([]compStats(nil), c.stats...),
-		ewma:    append([]uint32(nil), c.ewma...),
-		comps:   make([]any, len(c.comps)),
-	}
-	for i, row := range c.credit {
-		s.credit[i] = append([]uint8(nil), row...)
-	}
+	s := &compositeSnapshot{comps: make([]any, len(c.comps))}
+	s.set(&c.compositeState)
 	for i, p := range c.comps {
-		snap, ok := p.(prefetch.Snapshotter)
-		if !ok {
-			// Unreachable for registry-built composites; fail loudly for
-			// hand-assembled ones rather than silently dropping state.
-			panic(fmt.Sprintf("hybrid: component %s does not implement prefetch.Snapshotter", c.labels[i]))
-		}
-		s.comps[i] = snap.SnapshotState()
+		s.comps[i] = p.SnapshotState()
 	}
 	return s
 }
 
-// RestoreState implements prefetch.Snapshotter. The target must be an
+// RestoreState implements prefetch.Prefetcher. The target must be an
 // identically-configured composite (same component list, same arbiter
 // geometry).
 func (c *Composite) RestoreState(state any) error {
-	s, ok := state.(*compositeState)
+	s, ok := state.(*compositeSnapshot)
 	if !ok {
 		return fmt.Errorf("hybrid: composite restore from %T", state)
 	}
@@ -65,23 +55,11 @@ func (c *Composite) RestoreState(state any) error {
 		return fmt.Errorf("hybrid: composite restore sizing mismatch: %d slots/%d comps/%d owner slots into %d/%d/%d",
 			len(s.pcTags), len(s.comps), s.attr.Size(), len(c.pcTags), len(c.comps), c.attr.Size())
 	}
-	copy(c.pcTags, s.pcTags)
-	copy(c.pcValid, s.pcValid)
-	for i := range c.credit {
-		copy(c.credit[i], s.credit[i])
-	}
-	c.attr.CopyFrom(s.attr)
-	c.shadow.CopyFrom(s.shadow)
-	copy(c.stats, s.stats)
-	copy(c.ewma, s.ewma)
 	for i, p := range c.comps {
-		snap, ok := p.(prefetch.Snapshotter)
-		if !ok {
-			return fmt.Errorf("hybrid: component %s does not implement prefetch.Snapshotter", c.labels[i])
-		}
-		if err := snap.RestoreState(s.comps[i]); err != nil {
+		if err := p.RestoreState(s.comps[i]); err != nil {
 			return fmt.Errorf("hybrid: component %s: %w", c.labels[i], err)
 		}
 	}
+	c.set(&s.compositeState)
 	return nil
 }

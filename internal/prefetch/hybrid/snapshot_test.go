@@ -32,9 +32,9 @@ func drive(p prefetch.Prefetcher, seed uint64, n int) []isa.Line {
 		if v&15 == 2 {
 			p.OnPrefetchUseful(line)
 		}
-		if v&1 == 1 {
+		if eo, ok := p.(prefetch.EvictionObserver); ok && v&1 == 1 {
 			for _, l := range out[emitted:] {
-				p.(prefetch.EvictionObserver).OnL1Eviction(l, false)
+				eo.OnL1Eviction(l, false)
 			}
 		}
 	}
@@ -58,11 +58,11 @@ func TestCompositeSnapshotRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			drive(a, 42, 600)
-			state := a.(prefetch.Snapshotter).SnapshotState()
+			state := a.SnapshotState()
 
 			fresh := func() prefetch.Prefetcher {
 				b := prefetch.MustNew(name)
-				if err := b.(prefetch.Snapshotter).RestoreState(state); err != nil {
+				if err := b.RestoreState(state); err != nil {
 					t.Fatalf("restore: %v", err)
 				}
 				return b
@@ -91,7 +91,7 @@ func TestCompositeSnapshotRoundTrip(t *testing.T) {
 func TestCompositeSnapshotRejectsMismatch(t *testing.T) {
 	a := prefetch.MustNew("hybrid:discontinuity+streams")
 	drive(a, 1, 100)
-	state := a.(prefetch.Snapshotter).SnapshotState()
+	state := a.SnapshotState()
 
 	for _, other := range []string{
 		"hybrid:discontinuity+markov",           // different component
@@ -99,11 +99,54 @@ func TestCompositeSnapshotRejectsMismatch(t *testing.T) {
 		"hybrid:discontinuity:table=64+streams", // different leaf geometry
 	} {
 		p := prefetch.MustNew(other)
-		if err := p.(prefetch.Snapshotter).RestoreState(state); err == nil {
+		if err := p.RestoreState(state); err == nil {
 			t.Errorf("%s accepted foreign composite state", other)
 		}
 	}
-	if err := a.(prefetch.Snapshotter).RestoreState(struct{}{}); err == nil {
+	if err := a.RestoreState(struct{}{}); err == nil {
 		t.Error("composite accepted junk state")
+	}
+}
+
+// counters returns the lifetime counters a scheme reports.
+func counters(p prefetch.Prefetcher) any {
+	switch s := p.(type) {
+	case *prefetch.Discontinuity:
+		return []any{s.Allocations(), s.Replacements(), s.ProbeHitRate(), s.Suppressed(), s.Occupancy()}
+	case *prefetch.MANA:
+		return []uint64{s.Commits(), s.RecordDedups()}
+	case *prefetch.ProgMap:
+		return []uint64{s.Edges(), s.Traversed()}
+	case *prefetch.Streams:
+		return s.ActiveStreams()
+	case prefetch.ComponentReporter:
+		return s.ComponentCounters()
+	}
+	return nil
+}
+
+// TestResetMatchesFresh: a scheme Reset after use behaves like a fresh
+// one, which is what a fork-warm restore relies on when the measured
+// scheme differs from the snapshot's. Behaviour is compared, not
+// fields: Reset may leave dead slots that no lookup reads.
+func TestResetMatchesFresh(t *testing.T) {
+	names := append(prefetch.SchemeNames(), "discontinuity:confidence=true", "hybrid:discontinuity+mana")
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			used := prefetch.MustNew(name)
+			drive(used, 42, 600)
+			used.Reset()
+			fresh := prefetch.MustNew(name)
+			if !reflect.DeepEqual(counters(used), counters(fresh)) {
+				t.Fatalf("counters after Reset %v, fresh %v", counters(used), counters(fresh))
+			}
+			want := drive(fresh, 7, 600)
+			if got := drive(used, 7, 600); !reflect.DeepEqual(want, got) {
+				t.Fatalf("reset scheme diverged from a fresh one: %d vs %d candidates", len(got), len(want))
+			}
+			if !reflect.DeepEqual(counters(used), counters(fresh)) {
+				t.Fatalf("counters after the tail %v, fresh %v", counters(used), counters(fresh))
+			}
+		})
 	}
 }

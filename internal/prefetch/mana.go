@@ -59,7 +59,11 @@ type MANA struct {
 	cfg  MANAConfig
 	name string
 	mask uint64
+	manaState
+}
 
+// manaState is a MANA prefetcher's dynamic state.
+type manaState struct {
 	// Trigger table: direct-mapped region anchor -> record slot.
 	trigTags  []isa.Line
 	trigRec   []int32
@@ -92,14 +96,16 @@ func NewMANA(cfg MANAConfig) *MANA {
 		name = fmt.Sprintf("mana-t%dr%dw%d", cfg.TriggerEntries, cfg.RecordEntries, cfg.RegionLines)
 	}
 	return &MANA{
-		cfg:       cfg,
-		name:      name,
-		mask:      uint64(cfg.TriggerEntries - 1),
-		trigTags:  make([]isa.Line, cfg.TriggerEntries),
-		trigRec:   make([]int32, cfg.TriggerEntries),
-		trigValid: make([]bool, cfg.TriggerEntries),
-		records:   make([]uint32, cfg.RecordEntries),
-		recIndex:  make(map[uint32]int32, cfg.RecordEntries),
+		cfg:  cfg,
+		name: name,
+		mask: uint64(cfg.TriggerEntries - 1),
+		manaState: manaState{
+			trigTags:  make([]isa.Line, cfg.TriggerEntries),
+			trigRec:   make([]int32, cfg.TriggerEntries),
+			trigValid: make([]bool, cfg.TriggerEntries),
+			records:   make([]uint32, cfg.RecordEntries),
+			recIndex:  make(map[uint32]int32, cfg.RecordEntries),
+		},
 	}
 }
 

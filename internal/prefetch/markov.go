@@ -17,9 +17,14 @@ import (
 // trigger, trading accuracy for coverage of multi-target transitions.
 // It is included as a related-work baseline (paper Section 2.2).
 type Markov struct {
-	mask    uint64
+	mask uint64
+	ways int
+	markovState
+}
+
+// markovState is a Markov prefetcher's dynamic state.
+type markovState struct {
 	entries []mentry
-	ways    int
 	last    isa.Line
 	started bool
 }
@@ -40,9 +45,9 @@ func NewMarkov(tableEntries, ways int) *Markov {
 		panic("prefetch: markov ways must be >= 1")
 	}
 	m := &Markov{
-		mask:    uint64(tableEntries - 1),
-		entries: make([]mentry, tableEntries),
-		ways:    ways,
+		mask:        uint64(tableEntries - 1),
+		ways:        ways,
+		markovState: markovState{entries: make([]mentry, tableEntries)},
 	}
 	for i := range m.entries {
 		m.entries[i].succ = make([]isa.Line, 0, ways)

@@ -47,10 +47,45 @@ type Prefetcher interface {
 	OnPrefetchUseful(line isa.Line)
 	// Reset clears dynamic state.
 	Reset()
+	// SnapshotState returns a deep copy of the scheme's dynamic state,
+	// or nil for a stateless scheme. The state is opaque to callers and
+	// immutable once taken, so one snapshot can seed any number of
+	// identically-configured schemes: fork-and-diverge sweeps replay one
+	// shared warm-up into many measurement machines this way.
+	SnapshotState() any
+	// RestoreState overwrites the scheme's dynamic state with a copy of
+	// a state captured from an identically-configured scheme. Restoring
+	// across configurations is an error, never a silent truncation.
+	RestoreState(state any) error
+}
+
+// Stateless is embedded by the schemes that keep no dynamic state: they
+// learn nothing from discontinuities or useful prefetches, Reset does
+// nothing, a snapshot is nil and only nil restores.
+type Stateless struct{}
+
+// OnDiscontinuity implements Prefetcher.
+func (Stateless) OnDiscontinuity(isa.Line, isa.Line, bool) {}
+
+// OnPrefetchUseful implements Prefetcher.
+func (Stateless) OnPrefetchUseful(isa.Line) {}
+
+// Reset implements Prefetcher.
+func (Stateless) Reset() {}
+
+// SnapshotState implements Prefetcher.
+func (Stateless) SnapshotState() any { return nil }
+
+// RestoreState implements Prefetcher.
+func (Stateless) RestoreState(state any) error {
+	if state != nil {
+		return fmt.Errorf("prefetch: stateless scheme restored from %T", state)
+	}
+	return nil
 }
 
 // None is the no-prefetch baseline.
-type None struct{}
+type None struct{ Stateless }
 
 // NewNone returns the baseline no-op prefetcher.
 func NewNone() *None { return &None{} }
@@ -61,15 +96,6 @@ func (*None) Name() string { return "none" }
 // OnFetch implements Prefetcher: no candidates, out returned untouched
 // so callers keep their preallocated buffer.
 func (*None) OnFetch(_ Event, out []isa.Line) []isa.Line { return out }
-
-// OnDiscontinuity implements Prefetcher.
-func (*None) OnDiscontinuity(isa.Line, isa.Line, bool) {}
-
-// OnPrefetchUseful implements Prefetcher.
-func (*None) OnPrefetchUseful(isa.Line) {}
-
-// Reset implements Prefetcher.
-func (*None) Reset() {}
 
 // Trigger selects when a sequential prefetcher fires.
 type Trigger uint8
@@ -98,6 +124,7 @@ func (t Trigger) fires(ev Event) bool {
 // NextN is the sequential prefetcher family: on a triggering fetch of
 // line L it emits L+1 … L+Degree.
 type NextN struct {
+	Stateless
 	name    string
 	trigger Trigger
 	degree  int
@@ -144,20 +171,12 @@ func (p *NextN) OnFetch(ev Event, out []isa.Line) []isa.Line {
 	return out
 }
 
-// OnDiscontinuity implements Prefetcher (sequential schemes ignore it).
-func (p *NextN) OnDiscontinuity(isa.Line, isa.Line, bool) {}
-
-// OnPrefetchUseful implements Prefetcher.
-func (p *NextN) OnPrefetchUseful(isa.Line) {}
-
-// Reset implements Prefetcher.
-func (p *NextN) Reset() {}
-
 // Lookahead prefetches only the single line N ahead of a triggering
 // fetch (Han et al.'s improved-lookahead scheme): better timeliness than
 // next-line without N-per-trigger bandwidth, but gaps at control
 // transfers.
 type Lookahead struct {
+	Stateless
 	distance int
 }
 
@@ -179,12 +198,3 @@ func (p *Lookahead) OnFetch(ev Event, out []isa.Line) []isa.Line {
 	}
 	return append(out, ev.Line+isa.Line(p.distance))
 }
-
-// OnDiscontinuity implements Prefetcher.
-func (p *Lookahead) OnDiscontinuity(isa.Line, isa.Line, bool) {}
-
-// OnPrefetchUseful implements Prefetcher.
-func (p *Lookahead) OnPrefetchUseful(isa.Line) {}
-
-// Reset implements Prefetcher.
-func (p *Lookahead) Reset() {}

@@ -51,7 +51,11 @@ type ProgMap struct {
 	name    string
 	mask    uint64
 	retMask uint64
+	progMapState
+}
 
+// progMapState is a ProgMap prefetcher's dynamic state.
+type progMapState struct {
 	// Edge map: direct-mapped trigger -> target.
 	trigs []isa.Line
 	tgts  []isa.Line
@@ -86,16 +90,18 @@ func NewProgMap(cfg ProgMapConfig) *ProgMap {
 		retEntries = 256
 	}
 	return &ProgMap{
-		cfg:      cfg,
-		name:     name,
-		mask:     uint64(cfg.Entries - 1),
-		retMask:  uint64(retEntries - 1),
-		trigs:    make([]isa.Line, cfg.Entries),
-		tgts:     make([]isa.Line, cfg.Entries),
-		valid:    make([]bool, cfg.Entries),
-		retTags:  make([]isa.Line, retEntries),
-		retLines: make([]isa.Line, retEntries),
-		retValid: make([]bool, retEntries),
+		cfg:     cfg,
+		name:    name,
+		mask:    uint64(cfg.Entries - 1),
+		retMask: uint64(retEntries - 1),
+		progMapState: progMapState{
+			trigs:    make([]isa.Line, cfg.Entries),
+			tgts:     make([]isa.Line, cfg.Entries),
+			valid:    make([]bool, cfg.Entries),
+			retTags:  make([]isa.Line, retEntries),
+			retLines: make([]isa.Line, retEntries),
+			retValid: make([]bool, retEntries),
+		},
 	}
 }
 

@@ -57,16 +57,12 @@ func TestSnapshotterContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snapA, ok := a.(Snapshotter)
-			if !ok {
-				t.Fatalf("scheme %s does not implement Snapshotter", name)
-			}
 			drive(a, 42, 400)
-			state := snapA.SnapshotState()
+			state := a.SnapshotState()
 
 			fresh := func() Prefetcher {
 				b := MustNew(name)
-				if err := b.(Snapshotter).RestoreState(state); err != nil {
+				if err := b.RestoreState(state); err != nil {
 					t.Fatalf("restore: %v", err)
 				}
 				return b
@@ -97,11 +93,11 @@ func TestSnapshotterContract(t *testing.T) {
 func TestSnapshotterRejectsForeignState(t *testing.T) {
 	disc := MustNew("discontinuity")
 	drive(disc, 1, 100)
-	state := disc.(Snapshotter).SnapshotState()
+	state := disc.SnapshotState()
 
 	for _, other := range []string{"none", "streams", "mana", "discontinuity:table=64"} {
 		p := MustNew(other)
-		if err := p.(Snapshotter).RestoreState(state); err == nil {
+		if err := p.RestoreState(state); err == nil {
 			t.Errorf("%s accepted discontinuity state", other)
 		}
 	}
@@ -111,11 +107,7 @@ func TestSnapshotterRejectsForeignState(t *testing.T) {
 // accept only nil back.
 func TestStatelessSnapshotters(t *testing.T) {
 	for _, name := range []string{"none", "nl-miss", "nl-tagged", "n4l-tagged"} {
-		p := MustNew(name)
-		s, ok := p.(Snapshotter)
-		if !ok {
-			t.Fatalf("%s not a Snapshotter", name)
-		}
+		s := MustNew(name)
 		if st := s.SnapshotState(); st != nil {
 			t.Errorf("%s snapshots non-nil state %v", name, st)
 		}

@@ -21,8 +21,13 @@ import (
 type Streams struct {
 	nStreams int
 	depth    int
-	streams  []stream
-	tick     uint64
+	streamsState
+}
+
+// streamsState is a Streams prefetcher's dynamic state.
+type streamsState struct {
+	streams []stream
+	tick    uint64
 }
 
 type stream struct {
@@ -37,7 +42,7 @@ func NewStreams(n, depth int) *Streams {
 	if n < 1 || depth < 1 {
 		panic("prefetch: streams need n >= 1 and depth >= 1")
 	}
-	return &Streams{nStreams: n, depth: depth, streams: make([]stream, n)}
+	return &Streams{nStreams: n, depth: depth, streamsState: streamsState{streams: make([]stream, n)}}
 }
 
 // Name implements Prefetcher.

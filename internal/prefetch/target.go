@@ -17,9 +17,14 @@ import (
 // for a given table size it covers less of the non-sequential miss
 // stream.
 type Target struct {
-	mask    uint64
+	mask  uint64
+	depth int
+	targetState
+}
+
+// targetState is a Target prefetcher's dynamic state.
+type targetState struct {
 	entries []tentry
-	depth   int
 	last    isa.Line
 	started bool
 }
@@ -40,9 +45,9 @@ func NewTarget(tableEntries, depth int) *Target {
 		panic("prefetch: target depth must be >= 1")
 	}
 	return &Target{
-		mask:    uint64(tableEntries - 1),
-		entries: make([]tentry, tableEntries),
-		depth:   depth,
+		mask:        uint64(tableEntries - 1),
+		depth:       depth,
+		targetState: targetState{entries: make([]tentry, tableEntries)},
 	}
 }
 

@@ -33,6 +33,7 @@ type BranchObserver interface {
 // It is included as a related-work baseline; the paper discusses it in
 // Section 2.3 but does not evaluate it.
 type WrongPath struct {
+	Stateless
 	seq *NextN
 }
 
@@ -56,12 +57,3 @@ func (p *WrongPath) OnBranch(takenLine, fallLine isa.Line, followedTaken bool, o
 	}
 	return append(out, takenLine)
 }
-
-// OnDiscontinuity implements Prefetcher.
-func (p *WrongPath) OnDiscontinuity(isa.Line, isa.Line, bool) {}
-
-// OnPrefetchUseful implements Prefetcher.
-func (p *WrongPath) OnPrefetchUseful(isa.Line) {}
-
-// Reset implements Prefetcher.
-func (p *WrongPath) Reset() { p.seq.Reset() }

@@ -159,19 +159,6 @@ func (r *Rand) Fork() *Rand {
 	return New(r.Uint64())
 }
 
-// State returns the generator's four state words. Together with
-// SetState it lets simulation snapshots capture and replay a stream
-// mid-sequence.
-func (r *Rand) State() [4]uint64 {
-	return [4]uint64{r.s0, r.s1, r.s2, r.s3}
-}
-
-// SetState overwrites the generator's state words, resuming the exact
-// sequence a matching State call observed.
-func (r *Rand) SetState(s [4]uint64) {
-	r.s0, r.s1, r.s2, r.s3 = s[0], s[1], s[2], s[3]
-}
-
 // quantBuckets is the size of the acceleration index used by the CDF
 // samplers: bucket k narrows the inverse-CDF search for u in
 // [k/quantBuckets, (k+1)/quantBuckets). 4096 buckets (16 KB of index

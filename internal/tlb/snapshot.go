@@ -4,22 +4,23 @@ import "fmt"
 
 // Snapshot is a deep copy of one TLB's dynamic state.
 type Snapshot struct {
-	pages    []Page
-	valid    []bool
-	assoc    int
-	accesses uint64
-	misses   uint64
+	assoc int
+	state
+}
+
+// set makes s a copy of src that shares no memory with it.
+func (s *state) set(src *state) {
+	pages, valid := s.pages, s.valid
+	*s = *src
+	s.pages = append(pages[:0], src.pages...)
+	s.valid = append(valid[:0], src.valid...)
 }
 
 // Snapshot captures the TLB's current state.
 func (t *TLB) Snapshot() *Snapshot {
-	return &Snapshot{
-		pages:    append([]Page(nil), t.pages...),
-		valid:    append([]bool(nil), t.valid...),
-		assoc:    t.assoc,
-		accesses: t.accesses,
-		misses:   t.misses,
-	}
+	s := &Snapshot{assoc: t.assoc}
+	s.set(&t.state)
+	return s
 }
 
 // Restore overwrites the TLB's state with a copy of the snapshot's. The
@@ -32,10 +33,7 @@ func (t *TLB) Restore(s *Snapshot) error {
 		return fmt.Errorf("tlb: restore geometry mismatch: %d entries/%d-way into %d entries/%d-way",
 			len(s.pages), s.assoc, len(t.pages), t.assoc)
 	}
-	copy(t.pages, s.pages)
-	copy(t.valid, s.valid)
-	t.accesses = s.accesses
-	t.misses = s.misses
+	t.set(&s.state)
 	return nil
 }
 

@@ -34,10 +34,15 @@ type Config struct {
 // the flat layout removes a pointer indirection and keeps a set's tags
 // in one cache line.
 type TLB struct {
+	assoc   int
+	setMask uint64
+	state
+}
+
+// state is a TLB's dynamic state, the part a Snapshot copies.
+type state struct {
 	pages    []Page
 	valid    []bool
-	assoc    int
-	setMask  uint64
 	accesses uint64
 	misses   uint64
 }
@@ -52,10 +57,9 @@ func New(cfg Config) *TLB {
 		panic("tlb: number of sets must be a power of two")
 	}
 	return &TLB{
-		pages:   make([]Page, cfg.Entries),
-		valid:   make([]bool, cfg.Entries),
 		assoc:   cfg.Assoc,
 		setMask: uint64(n - 1),
+		state:   state{pages: make([]Page, cfg.Entries), valid: make([]bool, cfg.Entries)},
 	}
 }
 
@@ -115,14 +119,6 @@ func (t *TLB) Accesses() uint64 { return t.accesses }
 
 // Misses returns the number of lookups that missed.
 func (t *TLB) Misses() uint64 { return t.misses }
-
-// Reset invalidates all entries and clears statistics.
-func (t *TLB) Reset() {
-	clear(t.pages)
-	clear(t.valid)
-	t.accesses = 0
-	t.misses = 0
-}
 
 // HierarchyConfig sizes the full translation hierarchy.
 type HierarchyConfig struct {
@@ -216,10 +212,3 @@ func (h *Hierarchy) DTLB() *TLB { return h.dtlb }
 
 // Unified returns the secondary TLB.
 func (h *Hierarchy) Unified() *TLB { return h.l2 }
-
-// Reset clears all three TLBs.
-func (h *Hierarchy) Reset() {
-	h.itlb.Reset()
-	h.dtlb.Reset()
-	h.l2.Reset()
-}

@@ -79,15 +79,6 @@ func TestProbeNoFill(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tl := New(Config{Entries: 8, Assoc: 2})
-	tl.Access(1)
-	tl.Reset()
-	if tl.Probe(1) || tl.Accesses() != 0 || tl.Misses() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestHierarchyPenalties(t *testing.T) {
 	cfg := HierarchyConfig{
 		ITLB:         Config{Entries: 4, Assoc: 2},
@@ -129,10 +120,6 @@ func TestHierarchyIDSeparation(t *testing.T) {
 	}
 	if h.Unified().Misses() != 1 {
 		t.Fatalf("unified misses = %d", h.Unified().Misses())
-	}
-	h.Reset()
-	if h.ITLB().Accesses() != 0 || h.Unified().Accesses() != 0 {
-		t.Fatal("hierarchy reset incomplete")
 	}
 }
 

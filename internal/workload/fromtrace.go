@@ -28,11 +28,17 @@ type ChunkedTrace interface {
 // goroutine completes its send and exits.
 type traceReplay struct {
 	tr      ChunkedTrace
-	cur     []isa.Block
-	curIdx  int
-	pos     int
+	cur     []isa.Block // chunk curIdx, decoded
 	next    chan prefetched
 	nextIdx int
+	replayState
+}
+
+// replayState is a replayer's cursor: which chunk is current and how
+// far into it the consumer has read.
+type replayState struct {
+	curIdx int
+	pos    int
 }
 
 type prefetched struct {

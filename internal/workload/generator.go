@@ -30,10 +30,7 @@ type frame struct {
 // homogeneous 4-way CMP behave like the paper's: code is shared in the
 // L2 while per-thread data multiplies.
 type Generator struct {
-	prog  *Program
-	r     *rng.Rand
-	stack []frame
-	cur   frame
+	prog *Program
 
 	// nearZipf and farZipf are the program image's shared, read-only
 	// data samplers (see Program.dataSamplers).
@@ -57,6 +54,18 @@ type Generator struct {
 	tidStackOff isa.Addr
 	tidNearOff  isa.Addr
 
+	generatorState
+}
+
+// generatorState is the dynamic state of a Generator walk: the rng
+// stream, the call stack, the current frame, and the progress counters.
+// Everything else on the Generator (program image, samplers, thresholds,
+// region bases) is immutable after construction.
+type generatorState struct {
+	r     rng.Rand
+	stack []frame
+	cur   frame
+
 	instrs  uint64
 	txStart uint64
 	blocks  uint64
@@ -74,8 +83,6 @@ func NewGeneratorThread(prog *Program, seed uint64, tid int) *Generator {
 	pr := &prog.Profile
 	g := &Generator{
 		prog:        prog,
-		r:           rng.New(seed ^ pr.Seed ^ (prog.ASID * 0x9e3779b9) ^ (uint64(tid) << 32)),
-		stack:       make([]frame, 0, pr.MaxCallDepth+4),
 		loadThr:     rng.BoolThreshold(pr.LoadsPerInstr),
 		storeThr:    rng.BoolThreshold(pr.StoresPerInstr),
 		stackThr:    rng.BoolThreshold(pr.PStack),
@@ -84,6 +91,10 @@ func NewGeneratorThread(prog *Program, seed uint64, tid int) *Generator {
 		base:        SpaceBase(prog.ASID),
 		tidStackOff: isa.Addr(tid) * threadStackStride,
 		tidNearOff:  isa.Addr(tid) * threadNearStride,
+		generatorState: generatorState{
+			r:     *rng.New(seed ^ pr.Seed ^ (prog.ASID * 0x9e3779b9) ^ (uint64(tid) << 32)),
+			stack: make([]frame, 0, pr.MaxCallDepth+4),
+		},
 	}
 	g.nearZipf, g.farZipf = prog.dataSamplers()
 	if c := pr.ColdDataBytes; c&(c-1) == 0 {
@@ -96,7 +107,7 @@ func NewGeneratorThread(prog *Program, seed uint64, tid int) *Generator {
 // dispatch picks the next top-level function (transaction entry point)
 // by popularity.
 func (g *Generator) dispatch() int {
-	return g.prog.topZipf.Sample(g.r)
+	return g.prog.topZipf.Sample(&g.r)
 }
 
 // Instructions returns the number of instructions emitted so far.
@@ -252,10 +263,10 @@ func (g *Generator) dataAddr() isa.Addr {
 		}
 		return g.base + stackBase + g.tidStackOff + isa.Addr(off)&^7
 	case u < g.nearThr:
-		line := uint64(g.nearZipf.Sample(g.r))
+		line := uint64(g.nearZipf.Sample(&g.r))
 		return g.base + nearBase + g.tidNearOff + isa.Addr(line*64+uint64(g.r.Intn(8))*8)
 	case u < g.farThr:
-		line := uint64(g.farZipf.Sample(g.r))
+		line := uint64(g.farZipf.Sample(&g.r))
 		return g.base + hotBase + isa.Addr(line*64+uint64(g.r.Intn(8))*8)
 	default:
 		var off uint64

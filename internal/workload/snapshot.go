@@ -7,73 +7,63 @@ import "fmt"
 // (RestoreState). The returned state is opaque to callers and immutable
 // once taken, so one snapshot can seed any number of equivalent sources
 // — which is what lets fork-and-diverge sweeps replay a shared warm-up
-// prefix into many divergent measurement machines. Both Source
-// implementations (*Generator and the trace replayer) satisfy it.
+// prefix into many divergent measurement machines. The generator and
+// the corpus trace replayer satisfy it. It stays apart from Source
+// because trace.Loop, the source behind NewMachineFromTrace, has no
+// snapshot and no caller needs one.
 type Snapshotter interface {
 	// SnapshotState returns a deep copy of the source's cursor.
-	SnapshotState() (any, error)
+	SnapshotState() any
 	// RestoreState rewinds the source to a state captured from an
 	// equivalent source (same program/trace, same seed lineage).
 	RestoreState(state any) error
 }
 
-// generatorState is the dynamic state of a Generator walk: the rng
-// stream, the call stack, the current frame, and the progress counters.
-// Everything else on the Generator (program image, samplers, thresholds,
-// region bases) is immutable after construction.
-type generatorState struct {
-	asid    uint64
-	rstate  [4]uint64
-	stack   []frame
-	cur     frame
-	instrs  uint64
-	txStart uint64
-	blocks  uint64
+// generatorSnapshot is a Generator's state plus the identity of the
+// program it walks (the state holds frame indices into that image).
+type generatorSnapshot struct {
+	asid uint64
+	generatorState
+}
+
+// set makes s a copy of src that shares no memory with it.
+func (s *generatorState) set(src *generatorState) {
+	stack := s.stack
+	*s = *src
+	s.stack = append(stack[:0], src.stack...)
 }
 
 // SnapshotState implements Snapshotter.
-func (g *Generator) SnapshotState() (any, error) {
-	return &generatorState{
-		asid:    g.prog.ASID,
-		rstate:  g.r.State(),
-		stack:   append([]frame(nil), g.stack...),
-		cur:     g.cur,
-		instrs:  g.instrs,
-		txStart: g.txStart,
-		blocks:  g.blocks,
-	}, nil
+func (g *Generator) SnapshotState() any {
+	s := &generatorSnapshot{asid: g.prog.ASID}
+	s.set(&g.generatorState)
+	return s
 }
 
 // RestoreState implements Snapshotter. The target must walk the same
-// program (the snapshot holds frame indices into the program image).
+// program.
 func (g *Generator) RestoreState(state any) error {
-	s, ok := state.(*generatorState)
+	s, ok := state.(*generatorSnapshot)
 	if !ok {
 		return fmt.Errorf("workload: generator restore from %T", state)
 	}
 	if s.asid != g.prog.ASID {
 		return fmt.Errorf("workload: generator restore across programs (ASID %d into %d)", s.asid, g.prog.ASID)
 	}
-	g.r.SetState(s.rstate)
-	g.stack = append(g.stack[:0], s.stack...)
-	g.cur = s.cur
-	g.instrs = s.instrs
-	g.txStart = s.txStart
-	g.blocks = s.blocks
+	g.set(&s.generatorState)
 	return nil
 }
 
-// traceReplayState is the cursor of a trace replayer: which chunk is
-// current and how far into it the consumer has read.
-type traceReplayState struct {
-	curIdx int
-	pos    int
+// traceReplaySnapshot is a replayer's cursor plus the chunk count of
+// the container it replays.
+type traceReplaySnapshot struct {
 	chunks int
+	replayState
 }
 
 // SnapshotState implements Snapshotter.
-func (r *traceReplay) SnapshotState() (any, error) {
-	return &traceReplayState{curIdx: r.curIdx, pos: r.pos, chunks: r.tr.NumChunks()}, nil
+func (r *traceReplay) SnapshotState() any {
+	return &traceReplaySnapshot{chunks: r.tr.NumChunks(), replayState: r.replayState}
 }
 
 // RestoreState implements Snapshotter: it retires the in-flight decode,
@@ -81,7 +71,7 @@ func (r *traceReplay) SnapshotState() (any, error) {
 // the one-chunk-ahead pipeline, leaving the replayer exactly where the
 // snapshot was taken.
 func (r *traceReplay) RestoreState(state any) error {
-	s, ok := state.(*traceReplayState)
+	s, ok := state.(*traceReplaySnapshot)
 	if !ok {
 		return fmt.Errorf("workload: trace replay restore from %T", state)
 	}
@@ -96,7 +86,7 @@ func (r *traceReplay) RestoreState(state any) error {
 	if err != nil {
 		return fmt.Errorf("workload: trace replay restore chunk %d: %w", s.curIdx, err)
 	}
-	r.cur, r.curIdx, r.pos = blocks, s.curIdx, s.pos
+	r.cur, r.replayState = blocks, s.replayState
 	n := s.curIdx + 1
 	if n >= r.tr.NumChunks() {
 		n = 0

@@ -37,10 +37,7 @@ func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 	prog := MustBuildProgram(DB(), 1)
 	a := NewGenerator(prog, 42)
 	blocks(a, 5000) // advance deep into the walk (stack, rng, tx counters)
-	state, err := a.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := a.SnapshotState()
 
 	fresh := func() *Generator {
 		g := NewGenerator(prog, 42)
@@ -66,10 +63,7 @@ func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 func TestGeneratorSnapshotRejectsForeignProgram(t *testing.T) {
 	a := NewGenerator(MustBuildProgram(DB(), 1), 42)
 	blocks(a, 100)
-	state, err := a.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := a.SnapshotState()
 	other := NewGenerator(MustBuildProgram(DB(), 2), 42) // different ASID
 	if err := other.RestoreState(state); err == nil {
 		t.Error("cross-program restore accepted")
