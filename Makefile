@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt build vet test race failover-race fuzz-smoke bench simbench advgen-smoke
+.PHONY: fmt build vet test race failover-race fuzz-smoke bench simbench steady-gate advgen-smoke
 
 # Fails listing every file gofmt would change (what CI's Format step
 # runs).
@@ -62,3 +62,10 @@ simbench:
 			echo "simbench $$1 --trace $$2: a check or an operation failed" >&2; exit 1; \
 		fi; \
 	done
+
+# The steady-metric gate (what CI runs on a pull request): short
+# simbench rounds of every workload on the merge base with origin/main
+# and on the working tree, interleaved; fails when alloc_mb_per_op or
+# peak_rss_mb is worse than its BENCHMARK.json bound. Needs jq.
+steady-gate:
+	bash scripts/steady-gate.sh

@@ -99,7 +99,9 @@ type System struct {
 	stats []*stats.CoreStats
 }
 
-// New builds a machine. sources supplies one block stream per core.
+// New builds a machine. sources supplies one block stream per core; the
+// machine takes over each *workload.Generator among them and reads it
+// ahead (workload.ReadAhead), so the caller must not use one again.
 // prefetcherOverride, when non-nil, is called per core to construct the
 // prefetcher instead of the registry (used by table-size sweeps).
 func New(cfg Config, sources []workload.Source, prefetcherOverride func(coreID int) prefetch.Prefetcher) (*System, error) {
@@ -122,8 +124,12 @@ func New(cfg Config, sources []workload.Source, prefetcherOverride func(coreID i
 		} else {
 			pf = prefetch.MustNew(cfg.PrefetcherName)
 		}
+		src := sources[i]
+		if g, ok := src.(*workload.Generator); ok {
+			src = workload.ReadAhead(g)
+		}
 		fe := core.NewFrontEnd(cfg.FrontEnd, pf, s.mem, cs)
-		s.cores = append(s.cores, cpu.New(cfg.Core, fe, sources[i], cs))
+		s.cores = append(s.cores, cpu.New(cfg.Core, fe, src, cs))
 		s.stats = append(s.stats, cs)
 	}
 	return s, nil
@@ -157,6 +163,10 @@ func (s *System) Run(nPerCore uint64) {
 // power of two large enough to keep the poll off the hot path (< 0.1 %
 // of step cost) and small enough to cancel within milliseconds.
 const ctxCheckInterval = 1 << 14
+
+// expireInterval is how many core steps run between expiries of the
+// shared in-flight tracker (see expireLanded).
+const expireInterval = 1 << 10
 
 // RunContext is Run with cooperative cancellation: the simulation polls
 // ctx every few thousand steps and returns ctx.Err() if it fires,
@@ -207,13 +217,33 @@ func (s *System) RunContext(ctx context.Context, nPerCore uint64) error {
 				}
 			}
 			c.Step()
-			if steps++; steps&(ctxCheckInterval-1) == 0 {
+			steps++
+			if steps&(expireInterval-1) == 0 {
+				s.expireLanded()
+			}
+			if steps&(ctxCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
 		}
 	}
+}
+
+// expireLanded drops from the shared in-flight tracker every fill that
+// has landed for all cores: those complete at or before the smallest
+// core clock, finished cores included. A core's clock only grows and
+// every memory-system look-up it makes uses a cycle at or above it, so
+// each such entry already reads as landed, and the look-up would delete
+// it; nothing observable changes, but the table stays small. (The
+// front ends' own expiry, at their core's cycle, stays as it is: other
+// cores can observe it.)
+func (s *System) expireLanded() {
+	m := s.cores[0].Clock()
+	for _, c := range s.cores[1:] {
+		m = min(m, c.Clock())
+	}
+	s.mem.Expire(uint64(m))
 }
 
 // ResetStats begins a fresh measurement window on every core (after

@@ -282,3 +282,24 @@ func TestWritebackAddsTraffic(t *testing.T) {
 		t.Fatalf("writeback traffic did not raise transfers: %d vs %d", wbT, plainT)
 	}
 }
+
+// TestSharedInFlightStaysBounded: the machine's periodic expiry of
+// fills landed for every core keeps the shared in-flight table small.
+// Expired only by the front ends every 16 384 fetches, this machine's
+// table reaches 65 536 slots by 100 000 instructions per core.
+func TestSharedInFlightStaysBounded(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.PrefetcherName = "discontinuity"
+	cfg.FrontEnd.BypassL2 = true
+	srcs, err := SourcesFor([]string{"DB", "jApp", "Web", "DB"}, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := MustNew(cfg, srcs, nil)
+	for i := 0; i < 8; i++ {
+		sys.Run(50_000)
+		if n := sys.Mem().InFlight().Slots(); n > 1<<14 {
+			t.Fatalf("after %d instructions per core: %d in-flight slots, want at most %d", 50_000*(i+1), n, 1<<14)
+		}
+	}
+}

@@ -72,9 +72,10 @@ var sharedImmutable = map[reflect.Type]bool{
 
 // isStateType reports whether an embedded field holds a component's
 // dynamic state: by convention its struct type is named "state" or
-// "<component>State".
+// "<component>State", with type arguments when it is generic.
 func isStateType(t reflect.Type) bool {
-	return t.Kind() == reflect.Struct && strings.HasSuffix(strings.ToLower(t.Name()), "state")
+	name, _, _ := strings.Cut(t.Name(), "[")
+	return t.Kind() == reflect.Struct && strings.HasSuffix(strings.ToLower(name), "state")
 }
 
 type stateAt struct {
@@ -244,10 +245,17 @@ func exported(t *testing.T, s stateAt) any {
 }
 
 // machineStates are the state types every machine must contain; the
-// workload cursor and the scheme's state depend on the case.
+// workload cursor (cursorStates) and the scheme's state depend on the
+// case.
 var machineStates = []string{
 	"cache.state", "tlb.state", "bpred.state", "memory.portState", "memory.inFlightState",
 	"core.queueState", "core.recentState", "core.memState", "core.frontEndState", "cpu.coreState",
+}
+
+// cursorStates are the workload cursors' state types, by source.
+var cursorStates = map[string]string{
+	"generator": "workload.aheadState[repro/internal/workload.generatorState]",
+	"trace":     "workload.aheadState[int]",
 }
 
 // TestMachineSnapshotComplete is the gate on snapshots being complete
@@ -319,7 +327,7 @@ func TestMachineSnapshotComplete(t *testing.T) {
 						t.Errorf("%s differs from %s", sb.path, sa.path)
 					}
 				}
-				for _, name := range machineStates {
+				for _, name := range append(machineStates, cursorStates[srcName]) {
 					if !found[name] {
 						t.Errorf("no %s found in the machine", name)
 					}

@@ -67,6 +67,9 @@ func (m *MemSystem) L2() *cache.Cache { return m.l2 }
 // Port exposes the off-chip port (bandwidth diagnostics, tests).
 func (m *MemSystem) Port() *memory.Port { return m.port }
 
+// InFlight exposes the tracker of fills under way to the L2 (tests).
+func (m *MemSystem) InFlight() *memory.InFlight { return m.inflight }
+
 // L2Latency returns the configured L2 hit latency.
 func (m *MemSystem) L2Latency() uint64 { return m.l2Latency }
 

@@ -300,12 +300,7 @@ func NewRecentList(n int) *RecentList {
 // Add records a demand fetch, forgetting the oldest one when full.
 func (r *RecentList) Add(l isa.Line) {
 	if r.used == len(r.ring) {
-		old := r.ring[r.head]
-		if c := r.counts.Ptr(old); *c > 1 {
-			*c--
-		} else {
-			r.counts.Delete(old)
-		}
+		r.counts.DeleteIf(r.ring[r.head], func(c *int32) bool { *c--; return *c == 0 })
 	}
 	r.ring[r.head] = l
 	r.head = (r.head + 1) % len(r.ring)

@@ -132,6 +132,41 @@ func (t *Table[V]) Delete(l isa.Line) bool {
 	return ok
 }
 
+// DeleteIf looks l up and deletes it when drop, given a pointer to its
+// value, reports true: one probe for a look-up, an update and a delete.
+// It returns the value as drop left it and whether l was present.
+func (t *Table[V]) DeleteIf(l isa.Line, drop func(v *V) bool) (V, bool) {
+	h, ok := t.find(l)
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	v := &t.vals[h]
+	if !drop(v) {
+		return *v, true
+	}
+	val := *v
+	t.deleteAt(h)
+	return val, true
+}
+
+// DeleteFunc deletes every entry for which drop reports true, in one
+// pass over the slots and without allocating.
+func (t *Table[V]) DeleteFunc(drop func(l isa.Line, v V) bool) {
+	for i := uint64(0); i < uint64(len(t.live)); {
+		if t.live[i] && drop(t.keys[i], t.vals[i]) {
+			// The backward shift may move a later entry into slot i,
+			// so look at i again. Entries only move back along the
+			// chain that starts at i, which reaches the slots already
+			// scanned only by wrapping past the end, after every
+			// unscanned slot in it: no entry skips the scan.
+			t.deleteAt(i)
+			continue
+		}
+		i++
+	}
+}
+
 // deleteAt removes the entry in slot i, compacting the probe chain
 // behind it (backward-shift deletion for linear probing).
 func (t *Table[V]) deleteAt(i uint64) {
@@ -176,16 +211,6 @@ func (t *Table[V]) Grow() {
 		}
 		t.keys[h], t.vals[h], t.live[h] = keys[i], vals[i], true
 	}
-}
-
-// Keys appends the keys to dst in slot order and returns the result.
-func (t *Table[V]) Keys(dst []isa.Line) []isa.Line {
-	for i, ok := range t.live {
-		if ok {
-			dst = append(dst, t.keys[i])
-		}
-	}
-	return dst
 }
 
 // Reset empties the table, keeping its size.

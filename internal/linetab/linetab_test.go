@@ -1,6 +1,7 @@
 package linetab
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -68,12 +69,29 @@ func runOps(t *testing.T, ops []byte, limit int) {
 				*p += 3
 				ref[l] += 3
 			}
-		case 3, 4:
+		case 3:
 			_, want := ref[l]
 			if got := tab.Delete(l); got != want {
 				t.Fatalf("op %d: Delete(%#x) = %v, reference %v", i/2, l, got, want)
 			}
 			delete(ref, l)
+		case 4: // DeleteIf: decrement, drop at an even value
+			drop := func(v *uint64) bool { *v--; return *v%2 == 0 }
+			got, found := tab.DeleteIf(l, drop)
+			want, ok := ref[l]
+			if found != ok {
+				t.Fatalf("op %d: DeleteIf(%#x) found=%v, reference %v", i/2, l, found, ok)
+			}
+			if ok {
+				if drop(&want) {
+					delete(ref, l)
+				} else {
+					ref[l] = want
+				}
+				if got != want {
+					t.Fatalf("op %d: DeleteIf(%#x) = %d, reference %d", i/2, l, got, want)
+				}
+			}
 		case 5:
 			if tab.Size() < 1<<10 {
 				tab.Grow()
@@ -82,9 +100,15 @@ func runOps(t *testing.T, ops []byte, limit int) {
 			if ops[i+1]%16 == 0 {
 				tab.Reset()
 				clear(ref)
+				break
 			}
+			// DeleteFunc: drop the entries whose value shares l's
+			// residue mod 3.
+			drop := func(_ isa.Line, v uint64) bool { return v%3 == uint64(l)%3 }
+			tab.DeleteFunc(drop)
+			maps.DeleteFunc(ref, drop)
 		case 7:
-			keys := tab.Keys(nil)
+			keys := keysOf(tab)
 			want := make([]isa.Line, 0, len(ref))
 			for k := range ref {
 				want = append(want, k)
@@ -107,6 +131,17 @@ func runOps(t *testing.T, ops []byte, limit int) {
 			}
 		}
 	}
+}
+
+// keysOf returns the table's keys in slot order.
+func keysOf[V any](t *Table[V]) []isa.Line {
+	var keys []isa.Line
+	for i, ok := range t.live {
+		if ok {
+			keys = append(keys, t.keys[i])
+		}
+	}
+	return keys
 }
 
 func TestTableMatchesMap(t *testing.T) {
@@ -143,7 +178,7 @@ func TestBoundedEvictsNearHome(t *testing.T) {
 			h = (h + 1) & tab.mask
 		}
 		victim := tab.keys[h]
-		before := tab.Keys(nil)
+		before := keysOf(tab)
 		tab.Ref(l)
 		if tab.Len() != limit {
 			t.Fatalf("Len = %d after insert into a full table, want %d", tab.Len(), limit)
@@ -221,8 +256,35 @@ func TestCopyFromAdoptsSize(t *testing.T) {
 			src.Delete(l)
 			dst.Delete(l)
 		}
-		if !slices.Equal(dst.Keys(nil), src.Keys(nil)) {
+		if !slices.Equal(keysOf(dst), keysOf(src)) {
 			t.Fatal("copy diverged from its source")
 		}
 	}
 }
+
+// TestDeleteFuncShiftedEntries: DeleteFunc drops entries that the
+// backward shift moves into the slot it just emptied, including along
+// a chain that wraps past the last slot.
+func TestDeleteFuncShiftedEntries(t *testing.T) {
+	for _, home := range []uint64{3, 15} {
+		tab := New[int32](16, 0)
+		var keys []isa.Line
+		for l := isa.Line(0); len(keys) < 5; l++ {
+			if tab.home(l) == home {
+				keys = append(keys, l)
+				*must(tab.Ref(l)) = int32(len(keys))
+			}
+		}
+		tab.DeleteFunc(func(_ isa.Line, v int32) bool { return v != 5 })
+		if tab.Len() != 1 {
+			t.Fatalf("home %d: %d entries left, want 1", home, tab.Len())
+		}
+		for i, l := range keys {
+			if _, ok := tab.Get(l); ok != (i == 4) {
+				t.Errorf("home %d: key %d present=%v", home, i, ok)
+			}
+		}
+	}
+}
+
+func must[V any](p *V, _ bool) *V { return p }

@@ -124,15 +124,11 @@ func (f *InFlight) Start(l isa.Line, completeAt uint64) {
 // cycle now. Entries whose completion is at or before now are treated as
 // landed and removed.
 func (f *InFlight) Lookup(l isa.Line, now uint64) (uint64, bool) {
-	c, ok := f.t.Get(l)
-	if !ok {
+	c, ok := f.t.DeleteIf(l, func(c *uint64) bool { return *c <= now })
+	if !ok || c <= now {
 		return 0, false
 	}
-	if c > now {
-		return c, true
-	}
-	f.t.Delete(l)
-	return 0, false
+	return c, true
 }
 
 // Contains reports whether l is tracked (regardless of completion time).
@@ -146,16 +142,13 @@ func (f *InFlight) Complete(l isa.Line) {
 }
 
 // Expire removes all entries whose completion cycle is at or before now.
-// The simulator calls it periodically to bound table growth. The keys
-// are collected first and then deleted one by one, because
-// backward-shift deletion moves entries while a scan is in progress.
+// The simulator calls it periodically to bound table growth.
 func (f *InFlight) Expire(now uint64) {
-	for _, l := range f.t.Keys(nil) {
-		if c, _ := f.t.Get(l); c <= now {
-			f.t.Delete(l)
-		}
-	}
+	f.t.DeleteFunc(func(_ isa.Line, c uint64) bool { return c <= now })
 }
 
 // Len returns the number of in-flight lines.
 func (f *InFlight) Len() int { return f.t.Len() }
+
+// Slots returns the size of the tracker's table, which only grows.
+func (f *InFlight) Slots() int { return f.t.Size() }
